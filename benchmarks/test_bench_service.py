@@ -15,10 +15,9 @@ Five acceptance bars for the serving subsystem:
   cores and skips itself elsewhere, exactly like a GPU test without
   a GPU;
 * on the mixed workload over a real loopback TCP socket with two
-  workers, the zero-copy hot path (binary framing + shared-memory
-  ring job transport + compiled curve-plan cache) must cut p99
-  latency at least 5× against the NDJSON + per-job-pickle + uncached
-  stack — ≥ 2 usable cores, skips itself elsewhere;
+  workers, the hot path (binary framing + compiled curve-plan cache)
+  must cut p99 latency at least 5× against NDJSON framing with no
+  plan cache — ≥ 2 usable cores, skips itself elsewhere;
 * the consistent-hash router (two backends, replication 2, binary
   framing) must cost at most 5× the median latency of a direct single
   server on the same wire and workload — the extra loopback hop and
@@ -198,17 +197,17 @@ def test_binary_wire_hot_path_cuts_p99_5x(benchmark, methodology):
         }
     )
     print(
-        f"\nbinary+ring+plan : {fast.throughput:,.0f} req/s "
+        f"\nbinary+plan : {fast.throughput:,.0f} req/s "
         f"(p50 {fast.p50_ms:.3f} ms, p99 {fast.p99_ms:.3f} ms, "
         f"{fast.bytes_sent + fast.bytes_received:,} B on wire)"
     )
     print(
-        f"ndjson+pickle    : {slow.throughput:,.0f} req/s "
+        f"ndjson      : {slow.throughput:,.0f} req/s "
         f"(p50 {slow.p50_ms:.3f} ms, p99 {slow.p99_ms:.3f} ms, "
         f"{slow.bytes_sent + slow.bytes_received:,} B on wire)"
     )
     print(
-        f"zero-copy hot path: p99 {speedup:.1f}x lower, "
+        f"hot path    : p99 {speedup:.1f}x lower, "
         f"{values['bytes_ratio']:.1f}x fewer bytes"
     )
     assert speedup >= MIN_WIRE_P99_SPEEDUP

@@ -30,8 +30,8 @@ Subcommands
     Long-lived async model server (NDJSON over TCP, with negotiated
     binary framing — ``--wire``) with micro-batching, response
     caching, built-in metrics, and an optional sharded worker-process
-    pool (``--workers N``, jobs over shared-memory rings by default —
-    ``--job-transport``) (see :mod:`repro.service` and
+    pool (``--workers N``, jobs over shared-memory rings) (see
+    :mod:`repro.service` and
     ``docs/SERVICE.md``).
 ``route``
     Multi-node scale-out router: a consistent-hash ring (virtual
@@ -259,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "upgrade, ndjson refuses it (connections always start NDJSON)",
     )
     p_serve.add_argument(
-        "--job-transport", choices=("ring", "pickle"), default="ring",
-        help="worker job transport: preallocated shared-memory rings "
-        "or per-job pickle",
-    )
-    p_serve.add_argument(
         "--plan-cache-size", type=int, default=None, metavar="N",
         help="compiled curve-plan cache entries; 0 disables "
         "(default: the server's built-in size)",
@@ -453,11 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport under test: direct handler calls (inproc), or "
         "real loopback TCP with NDJSON or binary framing; with "
         "--compare, binary is A/B'd against NDJSON",
-    )
-    p_bench.add_argument(
-        "--job-transport", choices=("ring", "pickle"), default="ring",
-        help="worker job transport: preallocated shared-memory rings "
-        "or per-job pickle",
     )
     p_bench.add_argument(
         "--plan-cache-size", type=int, default=None, metavar="N",
@@ -846,7 +836,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         workers=args.workers,
         shard_by=args.shard_by,
         wire=args.wire,
-        job_transport=args.job_transport,
         admission=args.admission,
         work_budget=args.work_budget,
         power_cap=args.power_cap,
@@ -981,11 +970,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> str:
             "cannot use --wire inproc; pass --wire ndjson or "
             "--wire binary"
         )
-    if args.target and args.job_transport != "ring":
-        raise SystemExit(
-            "bench-serve: --job-transport configures a locally built "
-            "server and has no effect on an external --target"
-        )
     kwargs = dict(
         requests=args.requests,
         concurrency=args.concurrency,
@@ -1001,7 +985,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> str:
         arrival=args.arrival,
         timeout_ms=args.timeout_ms,
         wire=args.wire,
-        job_transport=None if args.target else args.job_transport,
         plan_cache_size=args.plan_cache_size,
         admission=args.admission,
         work_budget=args.work_budget,

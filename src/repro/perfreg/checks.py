@@ -62,9 +62,8 @@ MIN_CACHESIM_SPEEDUP = 10.0
 MIN_MICROBATCH_SPEEDUP = 5.0
 #: Four worker processes vs in-loop execution on the heavy workload.
 MIN_WORKER_SPEEDUP = 2.0
-#: Zero-copy hot path (binary framing + shm rings + plan cache) vs the
-#: NDJSON + per-job-pickle + uncached stack, p99 over TCP, mixed
-#: workload, two workers.
+#: Binary framing + plan cache vs NDJSON framing with no plan cache,
+#: p99 over TCP, mixed workload, two workers.
 MIN_WIRE_P99_SPEEDUP = 5.0
 #: The scale-out router's hop tax: one extra loopback hop plus the
 #: re-wrap must cost at most this factor in *median* latency over a
@@ -251,7 +250,6 @@ def measure_serving(
     machines=(),
     open_loop_rate: float | None = None,
     wire: str = "inproc",
-    job_transport: str | None = None,
     plan_cache_size: int | None = None,
     router_backends: int = 0,
     replication: int = 1,
@@ -283,7 +281,6 @@ def measure_serving(
             workers=workers,
             open_loop_rate=open_loop_rate,
             wire=wire,
-            job_transport=job_transport,
             plan_cache_size=plan_cache_size,
             router_backends=router_backends,
             replication=replication,
@@ -347,12 +344,11 @@ def measure_wire_path(
     """Zero-copy hot path vs the first-generation serving stack.
 
     Both runs drive the identical mixed workload over a real loopback
-    TCP socket.  The hot path is binary framing, shared-memory ring
-    job transport, and the compiled curve-plan cache; the baseline is
-    NDJSON framing, per-job pickle transport, and no plan cache — the
-    stack as PR 5 left it.  The headline metric is the **p99 latency
-    ratio** (text encode/decode and per-job serialisation dominate the
-    tail, not the mean); bytes-on-wire ride along.
+    TCP socket.  The hot path is binary framing and the compiled
+    curve-plan cache; the baseline is NDJSON framing with no plan
+    cache.  The headline metric is the **p99 latency ratio** (text
+    encode/decode dominates the tail, not the mean); bytes-on-wire
+    ride along.
     """
     fast = measure_serving(
         requests=requests,
@@ -366,7 +362,6 @@ def measure_wire_path(
         workers=workers,
         workload="mixed",
         wire="ndjson",
-        job_transport="pickle",
         plan_cache_size=0,
         repeats=repeats,
     )
@@ -672,7 +667,8 @@ class MicroBatchingCheck(_ServingCheck):
 
 @register
 class WireFramingCheck(_ServingCheck):
-    """The 5x zero-copy hot-path win as a tracked trajectory."""
+    """The 5x hot-path p99 win (binary framing + plan cache) as a
+    tracked trajectory."""
 
     name = "service.wire_framing"
     requests = 600

@@ -681,7 +681,6 @@ def bench_serving(
     arrival: str | None = None,
     timeout_ms: float | None = None,
     wire: str = "inproc",
-    job_transport: str | None = None,
     plan_cache_size: int | None = None,
     admission: str | None = None,
     work_budget: float | None = None,
@@ -708,11 +707,10 @@ def bench_serving(
     real loopback TCP socket and drive it through one
     :class:`~repro.service.client.AsyncServiceClient` negotiated to
     that framing, so the report's latency distribution and
-    bytes-on-wire compare the framings end to end.  ``job_transport``
-    and ``plan_cache_size`` pass through to :class:`ServerConfig` when
-    given (``None`` keeps the server defaults) — the perfreg wire check
-    pins its baseline by forcing ``pickle`` transport and a disabled
-    plan cache.
+    bytes-on-wire compare the framings end to end.  ``plan_cache_size``
+    passes through to :class:`ServerConfig` when given (``None`` keeps
+    the server default) — the perfreg wire check pins its baseline by
+    disabling the plan cache.
 
     ``router_backends=N`` (N ≥ 1) benchmarks the scale-out tier
     instead of one server: N backend servers (each with the same
@@ -762,11 +760,10 @@ def bench_serving(
     if target is not None and (
         workers
         or autoscale_max
-        or job_transport is not None
         or plan_cache_size is not None
     ):
         raise ValueError(
-            "workers/autoscale/job_transport/plan_cache_size configure a "
+            "workers/autoscale/plan_cache_size configure a "
             "locally built server and cannot apply to an external --target"
         )
     arrivals = parse_arrival_spec(arrival) if arrival is not None else None
@@ -807,8 +804,6 @@ def bench_serving(
 
     def _server_config() -> ServerConfig:
         config_kwargs: dict[str, Any] = {}
-        if job_transport is not None:
-            config_kwargs["job_transport"] = job_transport
         if plan_cache_size is not None:
             config_kwargs["plan_cache_size"] = plan_cache_size
         if admission is not None:

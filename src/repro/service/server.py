@@ -60,12 +60,7 @@ from repro.service.protocol import (
     ok_response,
     request_cache_key,
 )
-from repro.service.workers import (
-    DEFAULT_RING_SLOT_SIZE,
-    DEFAULT_RING_SLOTS,
-    DEFAULT_SHM_THRESHOLD,
-    WorkerPool,
-)
+from repro.service.workers import WorkerPool
 from repro.units import milliseconds, to_milliseconds
 
 __all__ = ["ServerConfig", "ModelServer"]
@@ -109,9 +104,6 @@ class ServerConfig:
     worker_queue_limit:
         Per-shard bound on concurrently submitted worker jobs; excess
         get ``overloaded`` replies.
-    shm_threshold:
-        Job/reply body size (bytes) above which worker IPC uses shared
-        memory instead of the pipe.
     wire:
         TCP framing policy.  ``"auto"`` and ``"binary"`` accept a
         client's ``hello`` offer of the binary wire format
@@ -119,12 +111,6 @@ class ServerConfig:
         every connection to NDJSON.  Connections that never send a
         ``hello`` speak NDJSON under any policy — the negotiation is
         strictly opt-in per connection.
-    job_transport:
-        Worker job-body transport: ``"ring"`` (default) uses the
-        preallocated shared-memory ring arenas, ``"pickle"`` the
-        per-job pipe/shm path (the pre-ring baseline).
-    ring_slots, ring_slot_size:
-        Ring-arena geometry per shard and direction.
     plan_cache_size:
         Compiled curve-plan cache entries per engine (in-loop and per
         worker); ``0`` disables plan caching.
@@ -181,11 +167,7 @@ class ServerConfig:
     workers: int = 0
     shard_by: str = "machine"
     worker_queue_limit: int = 256
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD
     wire: str = "auto"
-    job_transport: str = "ring"
-    ring_slots: int = DEFAULT_RING_SLOTS
-    ring_slot_size: int = DEFAULT_RING_SLOT_SIZE
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     admission: str = "depth"
     work_budget: float | None = None
@@ -241,10 +223,6 @@ class ModelServer(WireFrontend):
                 workers,
                 shard_by=self.config.shard_by,
                 queue_limit=self.config.worker_queue_limit,
-                shm_threshold=self.config.shm_threshold,
-                job_transport=self.config.job_transport,
-                ring_slots=self.config.ring_slots,
-                ring_slot_size=self.config.ring_slot_size,
                 plan_cache_size=self.config.plan_cache_size,
                 metrics=self.metrics,
             )
@@ -792,7 +770,6 @@ class ModelServer(WireFrontend):
             "workers": self.config.workers,
             "shard_by": self.config.shard_by,
             "wire": self.config.wire,
-            "job_transport": self.config.job_transport,
             "plan_cache_size": self.config.plan_cache_size,
             "admission": self.config.admission,
             "deadline_batching": self.config.deadline_batching,

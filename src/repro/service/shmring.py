@@ -1,36 +1,35 @@
 """Preallocated shared-memory ring arenas for worker job transport.
 
-PR 5 moved oversized worker bodies into per-job
-:class:`multiprocessing.shared_memory.SharedMemory` segments — one
-``shm_open``/``mmap``/``shm_unlink`` round per big payload.  This module
-amortises that: a :class:`RingArena` is one shared-memory segment
-created *once* per (shard, direction, worker-incarnation), divided into
-fixed-size slots, through which every job (or reply) body that fits
-travels as a single ``memcpy``.  Payloads that do not fit fall back to
-the per-job pickle/shm path, so the ring is an optimisation, never a
-capacity limit.
+A per-job :class:`multiprocessing.shared_memory.SharedMemory` segment
+costs one ``shm_open``/``mmap``/``shm_unlink`` round per payload.  A
+:class:`RingArena` amortises that: it is one shared-memory segment
+created *once* per (shard, direction, worker-incarnation), holding a
+single slot of :data:`SLOT_SIZE` bytes, through which every job (or
+reply) body that fits travels as a single ``memcpy``.  Payloads that do
+not fit spill to a per-job segment, so the ring is an optimisation,
+never a capacity limit.
 
 Handoff protocol
 ----------------
 The ring carries **bytes only**; ordering and addressing stay on the
 existing duplex pipe, whose ``send``/``recv`` syscalls provide the
 memory fence between writer and reader.  A writer copies the payload
-into slot ``stamp % slots``, prefixes it with a ``(stamp, length)``
-header, and ships ``("ring", slot, length, stamp)`` as the control
-message.  The reader validates the slot header against the control
-message before trusting the bytes — a mismatch means the slot was
-overwritten or the peer lost protocol state, which the pool treats
-exactly like a worker crash (respawn + fresh arenas).
+into the slot, prefixes it with a ``(stamp, length)`` header, and ships
+``("ring", length, stamp)`` as the control message.  The reader
+validates the slot header against the control message before trusting
+the bytes — a mismatch means the slot was overwritten or the peer lost
+protocol state, which the pool treats exactly like a worker crash
+(respawn + fresh arenas).
 
-The stamp is a monotonically increasing write counter, so wrap-around
-is implicit: slot reuse is safe because each shard's job/reply
-roundtrips are strictly serialised on its executor thread — a slot's
-previous occupant is always fully consumed before the counter comes
-back around.  Arena names are deterministic
+One slot per direction is enough: each shard's job/reply roundtrips
+are strictly serialised on its one-thread executor, so at most one body
+per direction is ever outstanding, and the slot's previous occupant is
+always fully consumed before the next write.  The stamp is a
+monotonically increasing write counter.  Arena names are deterministic
 (``rr-<token>-<shard>-<epoch><direction>``) and owned by the *parent*:
-it creates them, passes the names to the worker (which attaches and
-deregisters them from its resource tracker), and unlinks them on
-shutdown and on respawn — a crashed worker can never leak its arenas.
+it creates them, passes the names to the worker (which attaches), and
+unlinks them on shutdown and on respawn — a crashed worker can never
+leak its arenas.
 """
 
 from __future__ import annotations
@@ -38,11 +37,16 @@ from __future__ import annotations
 import struct
 from multiprocessing import resource_tracker, shared_memory
 
-__all__ = ["RingArena", "RingError", "SLOT_HEADER_SIZE"]
+__all__ = ["RingArena", "RingError", "SLOT_HEADER_SIZE", "SLOT_SIZE"]
 
-#: Per-slot header: stamp (u64 write counter), payload length (u32).
+#: Slot header: stamp (u64 write counter), payload length (u32).
 _SLOT_HEADER = struct.Struct("<QI")
 SLOT_HEADER_SIZE = _SLOT_HEADER.size
+
+#: Bytes per arena, header included.  One slot comfortably holds a
+#: pickled 2000-point curve reply (~32 KiB) or a 1024-point grid job;
+#: bigger bodies spill per job.
+SLOT_SIZE = 1 << 18
 
 
 class RingError(RuntimeError):
@@ -63,7 +67,7 @@ def _unregister(segment: shared_memory.SharedMemory) -> None:
 
 
 class RingArena:
-    """One direction of a shard's ring: N fixed-size slots in one segment.
+    """One direction of a shard's ring: one fixed-size slot in one segment.
 
     Single-producer single-consumer; the side that calls :meth:`write`
     must never also :meth:`read` the same arena.  ``create=True`` makes
@@ -71,21 +75,13 @@ class RingArena:
     ``create=False`` attaches a worker to an existing arena by name.
     """
 
-    def __init__(
-        self, name: str, slots: int, slot_size: int, *, create: bool
-    ):
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        if slot_size <= SLOT_HEADER_SIZE:
-            raise ValueError(
-                f"slot_size must exceed the {SLOT_HEADER_SIZE}-byte slot "
-                f"header, got {slot_size}"
-            )
+    #: Largest payload the slot can carry.
+    capacity = SLOT_SIZE - SLOT_HEADER_SIZE
+
+    def __init__(self, name: str, *, create: bool):
         self.name = name
-        self.slots = slots
-        self.slot_size = slot_size
         self._shm = shared_memory.SharedMemory(
-            name=name, create=create, size=slots * slot_size
+            name=name, create=create, size=SLOT_SIZE
         )
         # Both creation and attachment register the name with the
         # resource tracker, whose cache is a *set shared across the
@@ -94,55 +90,43 @@ class RingArena:
         # unregistering would strand the parent's registration).
         self._next_stamp = 0
 
-    @property
-    def capacity(self) -> int:
-        """Largest payload one slot can carry."""
-        return self.slot_size - SLOT_HEADER_SIZE
+    def write(self, payload: bytes) -> tuple[int, int] | None:
+        """Copy ``payload`` into the slot.
 
-    def write(self, payload: bytes) -> tuple[int, int, int] | None:
-        """Copy ``payload`` into the next slot.
-
-        Returns the ``(slot, length, stamp)`` triple for the control
-        message, or ``None`` when the payload exceeds one slot's
-        capacity (the caller falls back to the per-job pickle path —
-        the stamp is *not* consumed, so the slot sequence stays dense).
+        Returns the ``(length, stamp)`` pair for the control message,
+        or ``None`` when the payload exceeds the slot's capacity (the
+        caller spills it per job — the stamp is *not* consumed).
         """
         length = len(payload)
         if length > self.capacity:
             return None
         stamp = self._next_stamp
         self._next_stamp += 1
-        slot = stamp % self.slots
-        base = slot * self.slot_size
-        _SLOT_HEADER.pack_into(self._shm.buf, base, stamp, length)
-        start = base + SLOT_HEADER_SIZE
-        self._shm.buf[start : start + length] = payload
-        return slot, length, stamp
+        _SLOT_HEADER.pack_into(self._shm.buf, 0, stamp, length)
+        self._shm.buf[SLOT_HEADER_SIZE : SLOT_HEADER_SIZE + length] = payload
+        return length, stamp
 
-    def read(self, slot: int, length: int, stamp: int) -> memoryview:
-        """Validate and expose one slot's payload (zero-copy).
+    def read(self, length: int, stamp: int) -> memoryview:
+        """Validate and expose the slot's payload (zero-copy).
 
         The returned memoryview aliases the shared buffer; it is valid
-        until the writer's counter wraps back to this slot, which the
-        serialised roundtrip guarantees cannot happen before the caller
-        finishes deserialising.  Raises :class:`RingError` when the
-        control message and the slot header disagree.
+        until the writer's next write, which the serialised roundtrip
+        guarantees cannot happen before the caller finishes
+        deserialising.  Raises :class:`RingError` when the control
+        message and the slot header disagree.
         """
-        if not (0 <= slot < self.slots) or length > self.capacity:
+        if length > self.capacity:
             raise RingError(
-                f"ring control message out of range: slot {slot}, "
-                f"length {length}"
+                f"ring control message out of range: length {length}"
             )
-        base = slot * self.slot_size
-        slot_stamp, slot_length = _SLOT_HEADER.unpack_from(self._shm.buf, base)
+        slot_stamp, slot_length = _SLOT_HEADER.unpack_from(self._shm.buf, 0)
         if slot_stamp != stamp or slot_length != length:
             raise RingError(
-                f"ring slot {slot} stamp mismatch: control says "
+                f"ring slot stamp mismatch: control says "
                 f"(stamp {stamp}, length {length}), slot header says "
                 f"(stamp {slot_stamp}, length {slot_length})"
             )
-        start = base + SLOT_HEADER_SIZE
-        return self._shm.buf[start : start + length]
+        return self._shm.buf[SLOT_HEADER_SIZE : SLOT_HEADER_SIZE + length]
 
     def close(self) -> None:
         """Unmap this process's view of the arena."""

@@ -24,26 +24,23 @@ blocks on IPC.
 On the wire (the pipe), a job is ``(seq, kind, body)`` and a reply is
 ``(seq, "ok", body, compute_seconds)`` or ``(seq, "err", code,
 message)``.  Bodies in both directions are pickled bytes that travel
-one of three ways:
+one of two ways:
 
-* ``("ring", slot, length, stamp)`` — the default ``job_transport=
-  "ring"``: the bytes sit in a preallocated per-shard shared-memory
-  :class:`~repro.service.shmring.RingArena` (one per direction), and
-  only this addressing triple crosses the pipe.  One ``memcpy`` in,
-  one zero-copy ``pickle.loads`` out — no per-job segment churn, no
-  chunked pipe copy.  A stamp mismatch on read means lost protocol
-  state and is treated exactly like a worker crash.
-* ``("raw", data)`` — the bytes ride the pipe itself: payloads too big
-  for a ring slot (and everything under ``shm_threshold`` when
-  ``job_transport="pickle"``).
+* ``("ring", length, stamp)`` — the bytes sit in the shard's
+  preallocated shared-memory :class:`~repro.service.shmring.RingArena`
+  (one per direction, one slot each), and only this addressing pair
+  crosses the pipe.  One ``memcpy`` in, one zero-copy ``pickle.loads``
+  out — no per-job segment churn, no chunked pipe copy.  A stamp
+  mismatch on read means lost protocol state and is treated exactly
+  like a worker crash.
 * ``("shm", name, size)`` — a dedicated per-job shared-memory segment
-  for bodies above ``shm_threshold`` that the ring cannot hold.  The
-  receiver unlinks it after reading.  Segment names are deterministic
-  — ``rs-<pool-token>-<shard>-<seq><direction>`` — so when a worker
-  dies mid-job the respawn path can reclaim any segment the dead
-  incarnation left behind (previously these leaked until interpreter
-  exit).  Ring arenas are likewise parent-owned, epoch-named, and
-  unlinked+recreated on respawn, so crashes never leak shared memory.
+  for bodies too big for the slot.  The receiver unlinks it after
+  reading.  Segment names are deterministic —
+  ``rs-<pool-token>-<shard>-<seq><direction>`` — so when a worker dies
+  mid-job the respawn path can reclaim any segment the dead
+  incarnation left behind.  Ring arenas are likewise parent-owned,
+  epoch-named, and unlinked+recreated on respawn, so crashes never
+  leak shared memory.
 
 Failure and shutdown semantics
 ------------------------------
@@ -81,7 +78,7 @@ from repro.service.protocol import (
     OVERLOADED,
     WORKER_CRASHED,
 )
-from repro.service.shmring import RingArena, RingError
+from repro.service.shmring import SLOT_SIZE, RingArena, RingError
 from repro.units import to_milliseconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,24 +87,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "WorkerPool",
     "SHARD_BY_CHOICES",
-    "JOB_TRANSPORT_CHOICES",
     "route_key",
 ]
 
 #: Routing-key granularities accepted by ``shard_by``.
 SHARD_BY_CHOICES = ("machine", "model")
-
-#: Job-body transports accepted by ``job_transport``.  ``"ring"`` is
-#: the amortised shared-memory path (with automatic fallback for
-#: oversized bodies); ``"pickle"`` is the PR-5 pipe/per-job-shm path,
-#: kept as the benchmark baseline and as an escape hatch.
-JOB_TRANSPORT_CHOICES = ("ring", "pickle")
-
-#: Default ring geometry: slots per direction and bytes per slot.  One
-#: slot comfortably holds a pickled 2000-point curve reply (~32 KiB)
-#: or a 1024-point grid job; bigger bodies fall back per job.
-DEFAULT_RING_SLOTS = 8
-DEFAULT_RING_SLOT_SIZE = 1 << 18
 
 #: Distinguishes spill/ring names of pools that share a parent pid.
 _POOL_COUNTER = itertools.count()
@@ -126,10 +110,6 @@ _ENGINE_OPS = frozenset({"curve", "balance", "tradeoff", "greenup", "describe"})
 _ARRAY_RESULT_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "curve": ("curve_arrays", ("intensities", "values")),
 }
-
-#: Default size (bytes) above which reply bodies travel via shared
-#: memory instead of the pipe.
-DEFAULT_SHM_THRESHOLD = 1 << 18
 
 
 def route_key(shard_by: str, machine: str, model: str | None = None) -> str:
@@ -158,25 +138,24 @@ def _stable_shard(key: str, n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Reply marshalling (worker side packs, parent side unpacks)
+# Body marshalling (the sender ships, the receiver unpacks)
 # ----------------------------------------------------------------------
 
 
-def _pack_data(
-    data: bytes, shm_threshold: int, name: str | None = None
-) -> tuple:
-    """Ship pickled bytes: small on the pipe, big through shared memory.
+def _ship(data: bytes, ring: RingArena, name: str) -> tuple:
+    """Ship pickled bytes: through the ring slot if they fit, else spill.
 
-    Ownership of a shared segment transfers to the *receiver*, which
-    unlinks it after reading — so the sender unregisters the segment
-    from its own resource tracker (otherwise the tracker of a
-    long-lived sender warns about every already-unlinked name at
-    process exit; Python < 3.13 has no public ``track=False``).
-    ``name`` makes the segment name deterministic so the pool can
-    reclaim it if the receiver dies before reading.
+    A spilled body gets its own named segment, whose ownership
+    transfers to the *receiver*: it unlinks the segment after reading —
+    so the sender unregisters the segment from its own resource tracker
+    (otherwise the tracker of a long-lived sender warns about every
+    already-unlinked name at process exit; Python < 3.13 has no public
+    ``track=False``).  ``name`` is deterministic so the pool can
+    reclaim the segment if the receiver dies before reading.
     """
-    if len(data) <= shm_threshold:
-        return ("raw", data)
+    pair = ring.write(data)
+    if pair is not None:
+        return ("ring", *pair)
     segment = shared_memory.SharedMemory(create=True, size=len(data), name=name)
     try:
         segment.buf[: len(data)] = data
@@ -189,18 +168,15 @@ def _pack_data(
         segment.close()
 
 
-def _pack_body(
-    obj: Any, shm_threshold: int, name: str | None = None
-) -> tuple:
-    """Pickle ``obj``, then ship it via :func:`_pack_data`."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return _pack_data(data, shm_threshold, name)
-
-
-def _unpack_body(body: tuple, ring: RingArena | None = None) -> Any:
+def _unpack_body(body: tuple, ring: RingArena) -> Any:
     tag = body[0]
-    if tag == "raw":
-        return pickle.loads(body[1])
+    if tag == "ring":
+        _, length, stamp = body
+        view = ring.read(length, stamp)  # raises RingError on mismatch
+        try:
+            return pickle.loads(view)
+        finally:
+            view.release()
     if tag == "shm":
         _, name, size = body
         segment = shared_memory.SharedMemory(name=name)
@@ -209,13 +185,6 @@ def _unpack_body(body: tuple, ring: RingArena | None = None) -> Any:
         finally:
             segment.close()
             segment.unlink()
-    if tag == "ring" and ring is not None:
-        _, slot, length, stamp = body
-        view = ring.read(slot, length, stamp)  # raises RingError on mismatch
-        try:
-            return pickle.loads(view)
-        finally:
-            view.release()
     raise ServiceError(INTERNAL, f"malformed worker reply body: {body!r}")
 
 
@@ -241,9 +210,9 @@ def _reclaim_segment(name: str) -> bool:
 
 def _worker_main(
     conn: Any,
-    shm_threshold: int,
-    spill_prefix: str | None = None,
-    ring_spec: tuple[str, str, int, int] | None = None,
+    spill_prefix: str,
+    job_name: str,
+    reply_name: str,
     plan_cache_size: int | None = None,
 ) -> None:
     """Entry point of one worker process: a warm engine behind a pipe.
@@ -254,10 +223,10 @@ def _worker_main(
     failure, which means protocol state is lost beyond repair: exiting
     lets the parent's crash path respawn it with fresh arenas).
 
-    ``ring_spec`` is ``(job_arena, reply_arena, slots, slot_size)`` —
-    parent-created arenas this worker attaches to; ``spill_prefix``
-    names this worker's reply spill segments deterministically so the
-    parent can reclaim them after a crash.
+    ``job_name``/``reply_name`` name the parent-created arenas this
+    worker attaches to; ``spill_prefix`` names this worker's reply
+    spill segments deterministically so the parent can reclaim them
+    after a crash.
     """
     from repro.exceptions import ReproError
     from repro.service.engine import EvalEngine
@@ -272,10 +241,8 @@ def _worker_main(
     # a send on a torn pipe raising outside the guarded spots below) —
     # a leaked attachment keeps the segment alive past parent cleanup.
     try:
-        if ring_spec is not None:
-            job_name, reply_name, slots, slot_size = ring_spec
-            job_ring = RingArena(job_name, slots, slot_size, create=False)
-            reply_ring = RingArena(reply_name, slots, slot_size, create=False)
+        job_ring = RingArena(job_name, create=False)
+        reply_ring = RingArena(reply_name, create=False)
         while True:
             try:
                 job = conn.recv()
@@ -321,17 +288,7 @@ def _worker_main(
             else:
                 compute = time.perf_counter() - started
                 data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-                reply_body = None
-                if reply_ring is not None:
-                    triple = reply_ring.write(data)
-                    if triple is not None:
-                        reply_body = ("ring", *triple)
-                if reply_body is None:
-                    reply_body = _pack_data(
-                        data,
-                        shm_threshold,
-                        f"{spill_prefix}{seq:x}r" if spill_prefix else None,
-                    )
+                reply_body = _ship(data, reply_ring, f"{spill_prefix}{seq:x}r")
                 reply = (seq, "ok", reply_body, compute)
             try:
                 conn.send(reply)
@@ -371,8 +328,6 @@ class _Shard:
         "reply_ring",
         "ring_jobs",
         "ring_fallbacks",
-        "ring_outstanding",
-        "ring_occupancy_hwm",
     )
 
     def __init__(self, index: int):
@@ -395,8 +350,6 @@ class _Shard:
         self.reply_ring: RingArena | None = None
         self.ring_jobs = 0
         self.ring_fallbacks = 0
-        self.ring_outstanding = 0
-        self.ring_occupancy_hwm = 0
 
 
 class WorkerCrashError(ServiceError):
@@ -429,25 +382,13 @@ class WorkerPool:
     queue_limit:
         Per-shard bound on concurrently admitted jobs; excess
         submissions raise ``overloaded`` immediately.
-    shm_threshold:
-        Reply-body size (bytes) above which results travel through
-        shared memory instead of the pipe.
-    job_transport:
-        ``"ring"`` (default) sends job/reply bodies through per-shard
-        preallocated shared-memory ring arenas (oversized bodies fall
-        back per job); ``"pickle"`` keeps everything on the pipe /
-        per-job shm — the pre-ring baseline.
-    ring_slots, ring_slot_size:
-        Ring geometry per direction: slot count and bytes per slot
-        (including the slot header).
     plan_cache_size:
         Forwarded to each worker's :class:`EvalEngine`; ``None`` keeps
         the engine default.
     metrics:
         Optional registry; the pool records per-shard queue depth
-        gauges, job/crash counters, job/IPC-overhead timers, and (with
-        the ring transport) ring job/fallback counters plus the
-        slot-occupancy high-water mark.
+        gauges, job/crash counters, job/IPC-overhead timers, and ring
+        job/fallback counters.
     """
 
     def __init__(
@@ -456,10 +397,6 @@ class WorkerPool:
         *,
         shard_by: str = "machine",
         queue_limit: int = 256,
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-        job_transport: str = "ring",
-        ring_slots: int = DEFAULT_RING_SLOTS,
-        ring_slot_size: int = DEFAULT_RING_SLOT_SIZE,
         plan_cache_size: int | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -471,18 +408,9 @@ class WorkerPool:
             )
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if job_transport not in JOB_TRANSPORT_CHOICES:
-            raise ValueError(
-                f"job_transport must be one of {JOB_TRANSPORT_CHOICES}, "
-                f"got {job_transport!r}"
-            )
         self.workers = workers
         self.shard_by = shard_by
         self.queue_limit = queue_limit
-        self.shm_threshold = shm_threshold
-        self.job_transport = job_transport
-        self.ring_slots = ring_slots
-        self.ring_slot_size = ring_slot_size
         self.plan_cache_size = plan_cache_size
         #: Unique token prefixing every shared-memory name this pool
         #: creates (ring arenas and spill segments) — what the crash
@@ -517,15 +445,11 @@ class WorkerPool:
             if metrics
             else None
         )
-        use_ring = metrics is not None and job_transport == "ring"
         self._ring_jobs_total = (
-            metrics.counter("ring_jobs_total") if use_ring else None
+            metrics.counter("ring_jobs_total") if metrics else None
         )
         self._ring_fallbacks_total = (
-            metrics.counter("ring_fallbacks_total") if use_ring else None
-        )
-        self._ring_hwm_gauge = (
-            metrics.gauge("ring_occupancy_hwm") if use_ring else None
+            metrics.counter("ring_fallbacks_total") if metrics else None
         )
 
     # ------------------------------------------------------------------
@@ -537,29 +461,17 @@ class WorkerPool:
         return f"rs-{self.shm_token}-{shard.index}-"
 
     def _spawn(self, shard: _Shard) -> None:
-        ring_spec = None
-        if self.job_transport == "ring":
-            base = f"rr-{self.shm_token}-{shard.index}-{shard.epoch:x}"
-            shard.job_ring = RingArena(
-                f"{base}j", self.ring_slots, self.ring_slot_size, create=True
-            )
-            shard.reply_ring = RingArena(
-                f"{base}r", self.ring_slots, self.ring_slot_size, create=True
-            )
-            ring_spec = (
-                f"{base}j",
-                f"{base}r",
-                self.ring_slots,
-                self.ring_slot_size,
-            )
+        base = f"rr-{self.shm_token}-{shard.index}-{shard.epoch:x}"
+        shard.job_ring = RingArena(f"{base}j", create=True)
+        shard.reply_ring = RingArena(f"{base}r", create=True)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
-                self.shm_threshold,
                 self._spill_prefix(shard),
-                ring_spec,
+                f"{base}j",
+                f"{base}r",
                 self.plan_cache_size,
             ),
             name=f"repro-worker-{shard.index}",
@@ -594,7 +506,6 @@ class WorkerPool:
         # of the in-flight job — the job body it never read, or the
         # reply body it built but never handed over.
         self._drop_rings(shard)
-        shard.ring_outstanding = 0
         if failed_seq is not None:
             prefix = self._spill_prefix(shard)
             for suffix in ("j", "r"):
@@ -699,9 +610,6 @@ class WorkerPool:
                 self._ring_jobs_total.inc()
             else:
                 self._ring_fallbacks_total.inc()
-            self._ring_hwm_gauge.set(
-                max(s.ring_occupancy_hwm for s in self._shards)
-            )
         if listify and kind == "op":
             fields = _ARRAY_RESULT_FIELDS.get(payload[0], (None, ()))[1]
             for field in fields:
@@ -715,35 +623,19 @@ class WorkerPool:
 
         Returns ``(result, compute_seconds, ringed)`` where ``ringed``
         says whether both body directions travelled through the ring
-        arenas (``False`` = at least one per-job fallback).
+        arenas (``False`` = at least one body spilled).
         """
         seq = shard.next_seq
         shard.next_seq += 1
-        job_body = None
-        if shard.job_ring is not None:
-            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            triple = shard.job_ring.write(data)
-            if triple is not None:
-                job_body = ("ring", *triple)
-                shard.ring_jobs += 1
-                shard.ring_outstanding += 1
-                shard.ring_occupancy_hwm = max(
-                    shard.ring_occupancy_hwm, shard.ring_outstanding
-                )
-            else:
-                shard.ring_fallbacks += 1
-                job_body = _pack_data(
-                    data,
-                    self.shm_threshold,
-                    f"{self._spill_prefix(shard)}{seq:x}j",
-                )
-        if job_body is None:
-            job_body = _pack_body(
-                payload,
-                self.shm_threshold,
-                f"{self._spill_prefix(shard)}{seq:x}j",
-            )
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        job_body = _ship(
+            data, shard.job_ring, f"{self._spill_prefix(shard)}{seq:x}j"
+        )
         ringed_job = job_body[0] == "ring"
+        if ringed_job:
+            shard.ring_jobs += 1
+        else:
+            shard.ring_fallbacks += 1
         try:
             shard.conn.send((seq, kind, job_body))
             reply = shard.conn.recv()
@@ -756,9 +648,6 @@ class WorkerPool:
             raise WorkerCrashError(
                 shard.index, type(exc).__name__
             ) from exc
-        finally:
-            if ringed_job:
-                shard.ring_outstanding -= 1
         if reply[0] != seq:  # pragma: no cover - protocol corruption
             self._respawn(shard, seq)
             raise WorkerCrashError(shard.index, "out-of-sequence reply")
@@ -912,25 +801,17 @@ class WorkerPool:
                     ),
                 }
             )
-        stats: dict[str, Any] = {
+        return {
             "workers": self.workers,
             "shard_by": self.shard_by,
             "queue_limit": self.queue_limit,
-            "shm_threshold": self.shm_threshold,
-            "job_transport": self.job_transport,
             "uptime_seconds": round(uptime, 6),
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
             "shards": shards,
-        }
-        if self.job_transport == "ring":
-            stats["ring"] = {
-                "slots": self.ring_slots,
-                "slot_size": self.ring_slot_size,
+            "ring": {
+                "slot_size": SLOT_SIZE,
                 "jobs": sum(s.ring_jobs for s in self._shards),
                 "fallbacks": sum(s.ring_fallbacks for s in self._shards),
-                "occupancy_hwm": max(
-                    s.ring_occupancy_hwm for s in self._shards
-                ),
-            }
-        return stats
+            },
+        }

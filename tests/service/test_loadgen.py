@@ -294,8 +294,9 @@ class TestFailFast:
         [
             {"workers": 2},
             {"autoscale_max": 2},
-            {"job_transport": "pickle"},
             {"plan_cache_size": 4},
+            # A falsy value is still an explicit local knob.
+            {"plan_cache_size": 0},
         ],
     )
     def test_target_refuses_local_server_knobs(self, kwargs):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pickle
 import signal
 
 import pytest
@@ -27,6 +28,7 @@ from repro.exceptions import ServiceError
 from repro.service.engine import EvalEngine
 from repro.service.loadgen import build_requests
 from repro.service.server import ModelServer, ServerConfig
+from repro.service.shmring import SLOT_SIZE, RingArena
 from repro.service.workers import (
     WorkerCrashError,
     WorkerPool,
@@ -35,6 +37,10 @@ from repro.service.workers import (
 )
 
 MACHINES = ("gtx580-double", "i7-950-double")
+
+#: Grid points whose pickled eval_batch job (~9 bytes a float) is
+#: larger than one ring slot, so the job must spill.
+SPILL_POINTS = SLOT_SIZE // 6
 
 
 def run(coro):
@@ -127,28 +133,29 @@ class TestWorkerPool:
         assert all(s["crashes"] == 0 for s in stats["shards"])
 
     def test_shm_path_is_value_transparent(self):
-        """Bodies above the shm threshold round-trip unchanged."""
+        """Bodies larger than a ring slot spill and round-trip unchanged."""
         engine = EvalEngine()
-        grid = [0.5 + 0.001 * i for i in range(10_000)]
+        grid = [0.5 + 0.001 * i for i in range(SPILL_POINTS)]
 
         async def scenario():
-            # Threshold so low every body travels via shared memory.
-            pool = WorkerPool(1, shm_threshold=64)
+            pool = WorkerPool(1)
             try:
                 await pool.ready()
-                return await pool.submit(
+                values = await pool.submit(
                     "eval_batch",
                     ("gtx580-double", "energy", "energy_per_flop", grid),
                     "k",
                 )
+                return values, pool.stats()
             finally:
                 await pool.close()
 
-        values = run(scenario())
+        values, stats = run(scenario())
         expected = engine.eval_batch(
             "gtx580-double", "energy", "energy_per_flop", grid
         )
         assert values.tolist() == expected.tolist()
+        assert stats["ring"]["fallbacks"] == 1
 
     def test_worker_error_codes_cross_the_boundary(self):
         async def scenario():
@@ -398,6 +405,24 @@ def _shm_entries(token: str) -> list[str]:
         pytest.skip("/dev/shm not available on this platform")
 
 
+def _payload_pickling_to(size: int) -> tuple:
+    """An ``eval_batch`` payload whose pickled job body is ``size`` bytes.
+
+    Floats pickle to 9 bytes and small ints to 2, so topping a float
+    grid up with a few ints lands on any size exactly.
+    """
+    head = (MACHINES[0], "energy", "energy_per_flop")
+    first = (size - 256) // 9
+    for floats in range(first, first + 32):
+        for ints in range(9):
+            payload = (
+                *head, [0.5 + 0.001 * i for i in range(floats)] + [1] * ints
+            )
+            if len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)) == size:
+                return payload
+    raise AssertionError(f"no payload pickles to exactly {size} bytes")
+
+
 class TestRingTransport:
     """The shm ring-buffer job transport and its crash-safety story."""
 
@@ -416,10 +441,9 @@ class TestRingTransport:
     BALANCE_JOB = ("op", ("balance", {"machine_key": MACHINES[0]}), "k")
 
     def test_ring_carries_jobs_and_oversize_falls_back(self):
-        # A 2000-point grid pickles well past a 4 KiB slot, so that
-        # job must take the per-job fallback path; the balance job
-        # fits in a slot and rides the ring.
-        grid = [float(i) for i in range(1, 2001)]
+        # The grid job pickles well past one slot, so it must take the
+        # per-job spill path; the balance job fits and rides the ring.
+        grid = [float(i) for i in range(1, SPILL_POINTS + 1)]
         big_job = (
             "eval_batch",
             (MACHINES[0], "energy", "energy_per_flop", grid),
@@ -427,7 +451,7 @@ class TestRingTransport:
         )
 
         async def scenario():
-            pool = WorkerPool(1, ring_slots=4, ring_slot_size=4096)
+            pool = WorkerPool(1)
             try:
                 await pool.ready()
                 small = await pool.submit(*self.BALANCE_JOB)
@@ -438,67 +462,109 @@ class TestRingTransport:
             return small, big, stats
 
         small, big, stats = run(scenario())
-        assert stats["job_transport"] == "ring"
         ring = stats["ring"]
-        assert ring["slots"] == 4 and ring["slot_size"] == 4096
-        assert ring["jobs"] >= 1          # the balance job rode a slot
-        assert ring["fallbacks"] >= 1     # the big grid spilled
-        assert ring["occupancy_hwm"] >= 1
+        assert set(ring) == {"slot_size", "jobs", "fallbacks"}
+        assert ring["slot_size"] == SLOT_SIZE
+        assert ring["jobs"] == 2          # the ping and the balance job
+        assert ring["fallbacks"] == 1     # the big grid spilled
         assert small == EvalEngine().balance(MACHINES[0])
-        assert len(big) == 2000
+        assert len(big) == len(grid)
 
-    def test_ring_and_pickle_transports_agree(self):
-        """Transport is an optimisation, never semantic."""
+    def test_ring_and_spill_transports_agree(self, monkeypatch):
+        """Transport is an optimisation, never semantic: the same jobs
+        answer identically whether their bodies ride the slot or spill."""
+        grid = [0.25, 1.0, 3.0, 17.0]
+        grid_job = (
+            "eval_batch", (MACHINES[0], "energy", "energy_per_flop", grid), "k"
+        )
+        jobs = (self.BALANCE_JOB, self.CURVE_JOB, grid_job)
 
-        async def run_jobs(transport):
-            pool = WorkerPool(
-                1, job_transport=transport, ring_slots=2, ring_slot_size=2048
-            )
+        async def run_jobs():
+            pool = WorkerPool(1)
             try:
                 await pool.ready()
                 results = []
-                for job in (self.BALANCE_JOB, self.CURVE_JOB,
-                            self.BALANCE_JOB):
-                    results.append(canonical_json(await pool.submit(*job)))
-                return results
+                for job in jobs:
+                    result = await pool.submit(*job)
+                    if job is grid_job:
+                        result = result.tolist()
+                    results.append(canonical_json(result))
+                return results, pool.stats()["ring"]
             finally:
                 await pool.close()
 
-        async def scenario():
-            return (await run_jobs("ring"), await run_jobs("pickle"))
+        ringed, ring_stats = run(run_jobs())
+        # A slot that declines every write forces each job body to spill.
+        monkeypatch.setattr(RingArena, "write", lambda self, payload: None)
+        spilled, spill_stats = run(run_jobs())
 
-        ringed, pickled = run(scenario())
-        assert ringed == pickled
+        engine = EvalEngine()
+        expected = [
+            canonical_json(engine.balance(MACHINES[0])),
+            canonical_json(
+                engine.curve(MACHINES[0], "roofline", points_per_octave=400)
+            ),
+            canonical_json(
+                engine.eval_batch(
+                    MACHINES[0], "energy", "energy_per_flop", grid
+                ).tolist()
+            ),
+        ]
+        assert ringed == spilled == expected
+        assert ring_stats["fallbacks"] == 0
+        assert spill_stats["jobs"] == 0
+        assert spill_stats["fallbacks"] == 1 + len(jobs)  # ping included
 
-    def test_pickle_transport_reports_no_ring_stats(self):
+    def test_body_one_byte_over_slot_capacity_spills(self):
+        """The slot boundary is exact and past it there is only the
+        spill segment — which the receiver unlinks after reading."""
+        engine = EvalEngine()
+        fits = _payload_pickling_to(RingArena.capacity)
+        over = _payload_pickling_to(RingArena.capacity + 1)
+
         async def scenario():
-            pool = WorkerPool(1, job_transport="pickle")
+            pool = WorkerPool(1)
+            token = pool.shm_token
             try:
                 await pool.ready()
-                await pool.submit(*self.BALANCE_JOB)
-                return pool.stats()
+                at_capacity = await pool.submit("eval_batch", fits, "k")
+                ring_after_fit = dict(pool.stats()["ring"])
+                past_capacity = await pool.submit("eval_batch", over, "k")
+                ring_after_over = dict(pool.stats()["ring"])
+                spills_live = [
+                    name for name in _shm_entries(token)
+                    if name.startswith("rs-")
+                ]
             finally:
                 await pool.close()
+            return (at_capacity, past_capacity, ring_after_fit,
+                    ring_after_over, spills_live, _shm_entries(token))
 
-        stats = run(scenario())
-        assert stats["job_transport"] == "pickle"
-        assert "ring" not in stats
-
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(ValueError):
-            WorkerPool(1, job_transport="carrier-pigeon")
+        (at_capacity, past_capacity, ring_after_fit, ring_after_over,
+         spills_live, leftovers) = run(scenario())
+        assert at_capacity.tolist() == engine.eval_batch(*fits).tolist()
+        assert past_capacity.tolist() == engine.eval_batch(*over).tolist()
+        # ping + the at-capacity job rode the slot...
+        assert ring_after_fit == {
+            "slot_size": SLOT_SIZE, "jobs": 2, "fallbacks": 0
+        }
+        # ...and one byte more spilled.
+        assert ring_after_over["jobs"] == 2
+        assert ring_after_over["fallbacks"] == 1
+        assert spills_live == []
+        assert leftovers == []
 
     def test_crash_mid_spill_leaves_no_shm_orphans(self):
         """Regression: a worker killed with a spilled job in flight must
         not leak its job/reply segments, and respawn must replace the
         ring arenas rather than strand them."""
+        grid = [0.5 + 0.001 * i for i in range(SPILL_POINTS)]
+        spill_job = (
+            "eval_batch", (MACHINES[0], "energy", "energy_per_flop", grid), "k"
+        )
 
         async def scenario():
-            # Tiny ring capacity + tiny spill threshold: every real job
-            # body takes the per-job spill path.
-            pool = WorkerPool(
-                1, shm_threshold=64, ring_slots=2, ring_slot_size=64
-            )
+            pool = WorkerPool(1)
             token = pool.shm_token
             try:
                 await pool.ready()
@@ -506,7 +572,7 @@ class TestRingTransport:
                 victim = pool.stats()["shards"][0]["pid"]
                 os.kill(victim, signal.SIGKILL)
                 with pytest.raises(WorkerCrashError):
-                    await pool.submit(*self.CURVE_JOB)
+                    await pool.submit(*spill_job)
                 spills_after_crash = [
                     name for name in _shm_entries(token)
                     if name.startswith("rs-")
@@ -514,17 +580,19 @@ class TestRingTransport:
                 # The shard respawned and serves again.
                 after = await pool.submit(*self.BALANCE_JOB)
                 arenas_after = _shm_entries(token)
+                fallbacks = pool.stats()["ring"]["fallbacks"]
             finally:
                 await pool.close()
             leftovers = _shm_entries(token)
-            return (token, arenas_before, spills_after_crash, after,
-                    arenas_after, leftovers)
+            return (arenas_before, spills_after_crash, after, arenas_after,
+                    fallbacks, leftovers)
 
-        (token, arenas_before, spills_after_crash, after, arenas_after,
+        (arenas_before, spills_after_crash, after, arenas_after, fallbacks,
          leftovers) = run(scenario())
         # Two arenas (job + reply) exist while the pool runs...
         assert len(arenas_before) == 2
-        # ...the crashed job's spill segments were reclaimed...
+        # ...the crashed job spilled, and its segments were reclaimed...
+        assert fallbacks == 1
         assert spills_after_crash == []
         # ...the respawned shard got *fresh* arenas (epoch bumped)...
         assert len(arenas_after) == 2
