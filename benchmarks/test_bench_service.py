@@ -52,6 +52,8 @@ this module times the wins.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.perfreg.checks import (
@@ -60,6 +62,7 @@ from repro.perfreg.checks import (
     MIN_MICROBATCH_SPEEDUP,
     MIN_WIRE_P99_SPEEDUP,
     MIN_WORKER_SPEEDUP,
+    _SERVE_CONFIG,
     measure_cost_admission,
     measure_micro_batching,
     measure_router_path,
@@ -84,9 +87,7 @@ def test_micro_batched_serving_is_5x_faster(benchmark, methodology):
     )
     batched, unbatched = values["batched"], values["unbatched"]
     benchmark.pedantic(
-        lambda: measure_serving(
-            requests=REQUESTS, concurrency=128, max_batch=64
-        ),
+        lambda: measure_serving(requests=REQUESTS, concurrency=128),
         rounds=1, iterations=1, warmup_rounds=0,
     )
 
@@ -131,7 +132,9 @@ def test_worker_pool_is_2x_faster_on_heavy_workload(benchmark, methodology):
     pooled, inloop = values["pooled"], values["inloop"]
     benchmark.pedantic(
         lambda: measure_serving(
-            requests=WORKER_REQUESTS, workers=4, workload="heavy"
+            replace(_SERVE_CONFIG, workers=4),
+            requests=WORKER_REQUESTS,
+            workload="heavy",
         ),
         rounds=1, iterations=1, warmup_rounds=0,
     )

@@ -101,6 +101,100 @@ from repro.viz.series import write_csv
 __all__ = ["main", "build_parser"]
 
 
+def _add_server_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the server knobs ``serve`` and ``bench-serve`` share: one
+    flag per :class:`~repro.service.ServerConfig` field, defaulting to
+    the field's default (a ``*-ms`` flag spells a seconds field in
+    milliseconds).  :func:`_server_config` maps them back."""
+    # Dataclass field defaults are class attributes.
+    from repro.service.server import ServerConfig as defaults
+
+    parser.add_argument(
+        "--max-batch", type=int, default=defaults.max_batch, metavar="N",
+        help="micro-batch size cap; 1 disables coalescing",
+    )
+    parser.add_argument(
+        "--flush-window-ms", type=float, metavar="MS",
+        default=units.to_milliseconds(defaults.flush_window),
+        help="max time a non-full batch waits (default %(default)g)",
+    )
+    parser.add_argument(
+        "--cache-size", type=int, default=defaults.cache_size, metavar="N",
+        help="response-cache entries; 0 disables (default %(default)d)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=defaults.workers, metavar="N",
+        help="worker processes for model evaluation; 0 runs in-loop",
+    )
+    parser.add_argument(
+        "--shard-by", choices=("machine", "model"), default=defaults.shard_by,
+        help="worker routing key: per machine or per (machine, model)",
+    )
+    parser.add_argument(
+        "--plan-cache-size", type=int, default=defaults.plan_cache_size,
+        metavar="N", help="compiled curve-plan cache entries; 0 disables",
+    )
+    parser.add_argument(
+        "--admission", choices=("depth", "cost"), default=defaults.admission,
+        help="queue-depth limit, or predicted-work budget (cost)",
+    )
+    parser.add_argument(
+        "--work-budget", type=float, default=defaults.work_budget, metavar="S",
+        help="predicted seconds of work in flight under --admission cost",
+    )
+    parser.add_argument(
+        "--power-cap", type=float, default=defaults.power_cap, metavar="W",
+        help="cap on aggregate predicted power; over it, low priority sheds",
+    )
+    parser.add_argument(
+        "--admission-wait-ms", type=float, metavar="MS",
+        default=units.to_milliseconds(defaults.admission_wait),
+        help="max time a request may queue for budget/cap headroom",
+    )
+    parser.add_argument(
+        "--deadline-batching", action="store_true",
+        default=defaults.deadline_batching,
+        help="shrink batch windows so the earliest deadline holds",
+    )
+    parser.add_argument(
+        "--autoscale-min", type=int, default=defaults.autoscale_min,
+        metavar="N", help="autoscaler lower worker bound",
+    )
+    parser.add_argument(
+        "--autoscale-max", type=int, default=defaults.autoscale_max,
+        metavar="N", help="autoscaler upper worker bound; 0 disables",
+    )
+    parser.add_argument(
+        "--autoscale-interval", type=float, metavar="S",
+        default=defaults.autoscale_interval,
+        help="seconds between autoscaler sizing decisions",
+    )
+
+
+def _server_config(args: argparse.Namespace, **deployment):
+    """The :class:`~repro.service.ServerConfig` the shared server flags
+    describe, plus per-subcommand ``deployment`` fields."""
+    from repro.service import ServerConfig
+
+    return ServerConfig(
+        max_batch=args.max_batch,
+        flush_window=units.milliseconds(args.flush_window_ms),
+        cache_size=args.cache_size,
+        workers=args.workers,
+        shard_by=args.shard_by,
+        plan_cache_size=args.plan_cache_size,
+        admission=args.admission,
+        work_budget=args.work_budget,
+        power_cap=args.power_cap,
+        admission_wait=units.milliseconds(args.admission_wait_ms),
+        deadline_batching=args.deadline_batching,
+        autoscale_min=args.autoscale_min,
+        autoscale_max=args.autoscale_max,
+        autoscale_interval=args.autoscale_interval,
+        **deployment,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -217,18 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8733,
         help="TCP port (0 lets the OS pick; default 8733)",
     )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=64, metavar="N",
-        help="micro-batch size cap; 1 disables coalescing",
-    )
-    p_serve.add_argument(
-        "--flush-window-ms", type=float, default=1.0, metavar="MS",
-        help="max time a non-full batch waits for company",
-    )
-    p_serve.add_argument(
-        "--cache-size", type=int, default=2048, metavar="N",
-        help="response-cache entries; 0 disables caching",
-    )
+    _add_server_flags(p_serve)
     p_serve.add_argument(
         "--cache-ttl", type=float, default=300.0, metavar="S",
         help="response-cache staleness bound in seconds",
@@ -246,60 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one JSON access record per request on stderr",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for model evaluation; 0 runs in-loop",
-    )
-    p_serve.add_argument(
-        "--shard-by", choices=("machine", "model"), default="machine",
-        help="worker routing key: per machine or per (machine, model)",
-    )
-    p_serve.add_argument(
         "--wire", choices=("auto", "binary", "ndjson"), default="auto",
         help="framing policy: auto/binary accept a client's binary "
         "upgrade, ndjson refuses it (connections always start NDJSON)",
-    )
-    p_serve.add_argument(
-        "--plan-cache-size", type=int, default=None, metavar="N",
-        help="compiled curve-plan cache entries; 0 disables "
-        "(default: the server's built-in size)",
-    )
-    p_serve.add_argument(
-        "--admission", choices=("depth", "cost"), default="depth",
-        help="admission policy: queue-depth limit, or predicted-work "
-        "budget from the roofline cost model (needs --work-budget)",
-    )
-    p_serve.add_argument(
-        "--work-budget", type=float, default=None, metavar="S",
-        help="predicted seconds of admitted work allowed in flight "
-        "under --admission cost",
-    )
-    p_serve.add_argument(
-        "--power-cap", type=float, default=None, metavar="W",
-        help="cap on aggregate predicted power (watts); over it, "
-        "priority<=0 work is shed, higher priorities may wait",
-    )
-    p_serve.add_argument(
-        "--admission-wait-ms", type=float, default=0.0, metavar="MS",
-        help="max time a request may queue for budget/cap headroom "
-        "before an 'overloaded' reply (0: reject immediately)",
-    )
-    p_serve.add_argument(
-        "--deadline-batching", action="store_true",
-        help="let predicted batch service time shrink batch windows "
-        "so the earliest member's deadline holds",
-    )
-    p_serve.add_argument(
-        "--autoscale-min", type=int, default=0, metavar="N",
-        help="lower worker bound for the autoscaler (with "
-        "--autoscale-max; both 0 disables autoscaling)",
-    )
-    p_serve.add_argument(
-        "--autoscale-max", type=int, default=0, metavar="N",
-        help="upper worker bound for the autoscaler",
-    )
-    p_serve.add_argument(
-        "--autoscale-interval", type=float, default=0.25, metavar="S",
-        help="seconds between autoscaler sizing decisions",
     )
 
     p_route = sub.add_parser(
@@ -356,14 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--requests", type=int, default=4000, metavar="N")
     p_bench.add_argument("--concurrency", type=int, default=128, metavar="N")
-    p_bench.add_argument("--max-batch", type=int, default=64, metavar="N")
-    p_bench.add_argument(
-        "--flush-window-ms", type=float, default=2.0, metavar="MS"
-    )
-    p_bench.add_argument(
-        "--cache-size", type=int, default=0, metavar="N",
-        help="response-cache entries (default 0: isolate batching)",
-    )
+    _add_server_flags(p_bench)
+    # Isolate batching: no response cache, and batches wait long
+    # enough to fill at the default concurrency.
+    p_bench.set_defaults(cache_size=0, flush_window_ms=2.0)
     p_bench.add_argument(
         "--machines", nargs="+", default=["gtx580-double", "i7-950-double"],
         help="catalog machines to spread requests across",
@@ -379,16 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--compare", action="store_true",
-        help="also run the baseline and report the speedup: in-loop "
-        "execution when --workers > 0, unbatched otherwise",
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for model evaluation; 0 runs in-loop",
-    )
-    p_bench.add_argument(
-        "--shard-by", choices=("machine", "model"), default="machine",
-        help="worker routing key: per machine or per (machine, model)",
+        help="also run the baseline and report the speedup: NDJSON "
+        "framing with --wire binary, in-loop execution when --workers "
+        "> 0, unbatched otherwise",
     )
     p_bench.add_argument(
         "--workload", choices=("scalar", "mixed", "heavy"), default="scalar",
@@ -412,47 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline stamped on every generated request",
     )
     p_bench.add_argument(
-        "--admission", choices=("depth", "cost"), default=None,
-        help="server admission policy (cost needs --work-budget)",
-    )
-    p_bench.add_argument(
-        "--work-budget", type=float, default=None, metavar="S",
-        help="predicted-work budget (seconds) for --admission cost",
-    )
-    p_bench.add_argument(
-        "--power-cap", type=float, default=None, metavar="W",
-        help="server cap on aggregate predicted power (watts)",
-    )
-    p_bench.add_argument(
-        "--admission-wait-ms", type=float, default=None, metavar="MS",
-        help="max queueing time for budget/cap headroom",
-    )
-    p_bench.add_argument(
-        "--deadline-batching", action="store_true",
-        help="enable deadline-aware batch sizing on the server",
-    )
-    p_bench.add_argument(
-        "--autoscale-min", type=int, default=None, metavar="N",
-        help="autoscaler lower worker bound",
-    )
-    p_bench.add_argument(
-        "--autoscale-max", type=int, default=None, metavar="N",
-        help="autoscaler upper worker bound",
-    )
-    p_bench.add_argument(
-        "--autoscale-interval", type=float, default=None, metavar="S",
-        help="seconds between autoscaler sizing decisions",
-    )
-    p_bench.add_argument(
         "--wire", choices=("inproc", "ndjson", "binary"), default="inproc",
         help="transport under test: direct handler calls (inproc), or "
         "real loopback TCP with NDJSON or binary framing; with "
         "--compare, binary is A/B'd against NDJSON",
-    )
-    p_bench.add_argument(
-        "--plan-cache-size", type=int, default=None, metavar="N",
-        help="compiled curve-plan cache entries; 0 disables "
-        "(default: the server's built-in size)",
     )
     p_bench.add_argument(
         "--router-backends", type=int, default=0, metavar="N",
@@ -466,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--target", default=None, metavar="HOST:PORT",
         help="drive an already-running server or router instead of "
-        "spawning one in-process (requires --wire ndjson|binary)",
+        "spawning one in-process (requires --wire ndjson|binary; "
+        "refuses every server flag)",
     )
 
     p_lint = sub.add_parser(
@@ -810,21 +795,51 @@ def _cmd_app(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
+def _serve_until_signalled(frontend, banner) -> bool:
+    """Serve a :class:`~repro.service.frontend.WireFrontend` (server or
+    router) until SIGINT/SIGTERM, then drain it; ``banner(HOST:PORT)``
+    goes to stderr once it listens.  ``False``: a bare
+    ``KeyboardInterrupt`` cut the run short instead."""
     import asyncio
+    import signal
+
+    async def _serve() -> None:
+        host, port = await frontend.start()
+        print(banner(f"{host}:{port}"), file=sys.stderr, flush=True)
+        stop_requested = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, stop_requested.set)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-unix event loops
+        serve_task = asyncio.ensure_future(frontend.serve_forever())
+        try:
+            await stop_requested.wait()
+        finally:
+            serve_task.cancel()
+            await asyncio.gather(serve_task, return_exceptions=True)
+            await frontend.stop()
+
+    try:
+        asyncio.run(_serve())
+    except KeyboardInterrupt:  # pragma: no cover - signal-handler fallback
+        return False
+    return True
+
+
+def _cmd_serve(args: argparse.Namespace) -> str:
     import json as _json
 
-    from repro.service import ModelServer, ServerConfig
+    from repro.service import ModelServer
 
     def _log(record: dict) -> None:
         print(_json.dumps(record, sort_keys=True), file=sys.stderr)
 
-    config = ServerConfig(
+    config = _server_config(
+        args,
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        flush_window=units.milliseconds(args.flush_window_ms),
-        cache_size=args.cache_size,
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         queue_limit=args.queue_limit,
         default_timeout=(
@@ -833,221 +848,154 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             else None
         ),
         access_log=_log if args.access_log else None,
-        workers=args.workers,
-        shard_by=args.shard_by,
         wire=args.wire,
-        admission=args.admission,
-        work_budget=args.work_budget,
-        power_cap=args.power_cap,
-        admission_wait=units.milliseconds(args.admission_wait_ms),
-        deadline_batching=args.deadline_batching,
-        autoscale_min=args.autoscale_min,
-        autoscale_max=args.autoscale_max,
-        autoscale_interval=args.autoscale_interval,
-        **(
-            {"plan_cache_size": args.plan_cache_size}
-            if args.plan_cache_size is not None
-            else {}
-        ),
     )
-
-    async def _serve() -> str:
-        import signal
-
+    try:
         server = ModelServer(config)
-        host, port = await server.start()
-        print(
-            f"serving energy-roofline models on {host}:{port} "
+    except ValueError as exc:  # the config's own validation
+        raise ReproError(str(exc)) from None
+    drained = _serve_until_signalled(
+        server,
+        lambda address: (
+            f"serving energy-roofline models on {address} "
             f"(max_batch={config.max_batch}, "
             f"flush_window={config.flush_window * 1000:g} ms, "
             f"cache={config.cache_size} entries, "
             f"workers={config.workers}, wire={config.wire}); "
-            "ctrl-c to drain and stop",
-            file=sys.stderr,
-            flush=True,
-        )
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop_requested.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix event loops
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        try:
-            await stop_requested.wait()
-        finally:
-            serve_task.cancel()
-            await asyncio.gather(serve_task, return_exceptions=True)
-            await server.stop()
-        stats = server.stats()
-        return (
-            f"served {stats['counters'].get('requests_total', 0)} requests "
-            f"({stats['counters'].get('errors_total', 0)} errors, "
-            f"cache hit ratio {stats['cache']['hit_ratio']:.1%}); "
-            "drained cleanly"
-        )
-
-    try:
-        return asyncio.run(_serve())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler fallback
+            "ctrl-c to drain and stop"
+        ),
+    )
+    if not drained:  # pragma: no cover - signal-handler fallback
         return "interrupted; server stopped"
+    stats = server.stats()
+    return (
+        f"served {stats['counters'].get('requests_total', 0)} requests "
+        f"({stats['counters'].get('errors_total', 0)} errors, "
+        f"cache hit ratio {stats['cache']['hit_ratio']:.1%}); "
+        "drained cleanly"
+    )
 
 
 def _cmd_route(args: argparse.Namespace) -> str:
-    import asyncio
+    from dataclasses import fields
 
     from repro.service import RouterConfig, RouterServer
 
-    config = RouterConfig(
-        host=args.host,
-        port=args.port,
-        wire=args.wire,
-        backend_wire=args.backend_wire,
-        replication=args.replication,
-        vnodes=args.vnodes,
-        shard_by=args.shard_by,
-        attempts=args.attempts,
-        health_interval=args.health_interval,
-        down_after=args.down_after,
-    )
-
-    async def _route() -> str:
-        import signal
-
-        router = RouterServer(args.backends, config)
-        host, port = await router.start()
-        print(
-            f"routing energy-roofline requests on {host}:{port} over "
+    # Every route flag but --backend is named after its RouterConfig field.
+    config = RouterConfig(**{
+        field.name: getattr(args, field.name)
+        for field in fields(RouterConfig) if hasattr(args, field.name)
+    })
+    router = RouterServer(args.backends, config)
+    drained = _serve_until_signalled(
+        router,
+        lambda address: (
+            f"routing energy-roofline requests on {address} over "
             f"{len(router.ring)} backends "
             f"({', '.join(router.ring.backends)}; "
             f"replication={config.replication}, vnodes={config.vnodes}, "
             f"shard_by={config.shard_by}, wire={config.wire}); "
-            "ctrl-c to drain and stop",
-            file=sys.stderr,
-            flush=True,
-        )
-        stop_requested = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop_requested.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix event loops
-        serve_task = asyncio.ensure_future(router.serve_forever())
-        try:
-            await stop_requested.wait()
-        finally:
-            serve_task.cancel()
-            await asyncio.gather(serve_task, return_exceptions=True)
-            await router.stop()
-        stats = router.stats()
-        counters = stats["counters"]
-        per_backend = ", ".join(
-            f"{name}: {info.get('requests_total', 0)}"
-            for name, info in sorted(stats["backends"].items())
-        )
-        return (
-            f"routed {counters.get('requests_total', 0)} requests "
-            f"({counters.get('retries_total', 0)} retries, "
-            f"{counters.get('failovers_total', 0)} failovers; "
-            f"{per_backend}); drained cleanly"
-        )
-
-    try:
-        return asyncio.run(_route())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler fallback
+            "ctrl-c to drain and stop"
+        ),
+    )
+    if not drained:  # pragma: no cover - signal-handler fallback
         return "interrupted; router stopped"
+    stats = router.stats()
+    counters = stats["counters"]
+    per_backend = ", ".join(
+        f"{name}: {info.get('requests_total', 0)}"
+        for name, info in sorted(stats["backends"].items())
+    )
+    return (
+        f"routed {counters.get('requests_total', 0)} requests "
+        f"({counters.get('retries_total', 0)} retries, "
+        f"{counters.get('failovers_total', 0)} failovers; "
+        f"{per_backend}); drained cleanly"
+    )
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> str:
+    from dataclasses import fields, replace
+
     from repro.service import bench_serving
 
-    if (args.target or args.router_backends) and args.wire == "inproc":
-        where = "--target" if args.target else "--router-backends"
-        raise SystemExit(
-            f"bench-serve: {where} drives a real TCP connection and "
-            "cannot use --wire inproc; pass --wire ndjson or "
-            "--wire binary"
-        )
-    kwargs = dict(
-        requests=args.requests,
-        concurrency=args.concurrency,
-        flush_window=units.milliseconds(args.flush_window_ms),
-        cache_size=args.cache_size,
-        machines=args.machines,
-        model=args.model,
-        metric=args.metric,
-        unique_intensities=not args.repeat_intensities,
-        workload=args.workload,
-        shard_by=args.shard_by,
-        open_loop_rate=args.open_loop,
-        arrival=args.arrival,
-        timeout_ms=args.timeout_ms,
-        wire=args.wire,
-        plan_cache_size=args.plan_cache_size,
-        admission=args.admission,
-        work_budget=args.work_budget,
-        power_cap=args.power_cap,
-        admission_wait=(
-            units.milliseconds(args.admission_wait_ms)
-            if args.admission_wait_ms is not None
-            else None
-        ),
-        deadline_batching=args.deadline_batching or None,
-        autoscale_min=args.autoscale_min,
-        autoscale_max=args.autoscale_max,
-        autoscale_interval=args.autoscale_interval,
-        router_backends=args.router_backends,
-        replication=args.replication,
-        target=args.target,
-    )
-    report = bench_serving(
-        max_batch=args.max_batch,
-        workers=0 if args.target else args.workers,
-        **kwargs,
-    )
-    mode = (
-        "open-loop"
-        if args.open_loop is not None or args.arrival is not None
-        else "closed-loop"
-    )
+    config = _server_config(args)
+    if args.target:
+        # An external server was configured when it started, so a server
+        # flag away from its default would be silently ignored.
+        unset = _server_config(build_parser().parse_args(["bench-serve"]))
+        changed = [
+            field.name for field in fields(config)
+            if getattr(config, field.name) != getattr(unset, field.name)
+        ]
+        if changed:
+            raise ReproError(
+                "bench-serve --target drives an external server, which "
+                f"server flags cannot configure (set: {', '.join(changed)})"
+            )
+        if args.compare and args.wire != "binary":
+            raise ReproError(
+                "bench-serve --target --compare needs --wire binary: only "
+                "the binary-vs-NDJSON framing comparison is client-side"
+            )
+        config = None
+
+    def bench(config, wire: str = args.wire):
+        try:
+            return bench_serving(
+                config,
+                requests=args.requests,
+                concurrency=args.concurrency,
+                machines=args.machines,
+                model=args.model,
+                metric=args.metric,
+                unique_intensities=not args.repeat_intensities,
+                workload=args.workload,
+                open_loop_rate=args.open_loop,
+                arrival=args.arrival,
+                timeout_ms=args.timeout_ms,
+                wire=wire,
+                router_backends=args.router_backends,
+                replication=args.replication,
+                target=args.target,
+            )
+        except ValueError as exc:  # config and load-parameter validation
+            raise ReproError(str(exc)) from None
+
+    report = bench(config)
     blocks = [
-        f"{mode} serving benchmark ({args.model}/{args.metric}, "
+        f"{report.mode}-loop serving benchmark ({args.model}/{args.metric}, "
         f"workload: {args.workload}, machines: {', '.join(args.machines)})",
         report.describe(),
     ]
     if args.compare and args.wire == "binary":
-        kwargs["wire"] = "ndjson"
-        baseline = bench_serving(
-            max_batch=args.max_batch, workers=args.workers, **kwargs
-        )
-        blocks.append("NDJSON framing (same server knobs):")
-        blocks.append(baseline.describe())
+        baseline = bench(config, wire="ndjson")
         report_bytes = report.bytes_sent + report.bytes_received
         baseline_bytes = baseline.bytes_sent + baseline.bytes_received
-        blocks.append(
+        blocks += [
+            "NDJSON framing (same server knobs):",
+            baseline.describe(),
             f"binary framing: p99 {baseline.p99_ms / report.p99_ms:.1f}x "
             f"lower, p50 {baseline.p50_ms / report.p50_ms:.1f}x lower, "
             f"throughput {report.throughput / baseline.throughput:.1f}x, "
-            f"bytes on wire {baseline_bytes / report_bytes:.1f}x fewer"
-        )
+            f"bytes on wire {baseline_bytes / report_bytes:.1f}x fewer",
+        ]
     elif args.compare and args.workers > 0:
-        baseline = bench_serving(max_batch=args.max_batch, workers=0, **kwargs)
-        blocks.append("worker pool disabled (in-loop execution):")
-        blocks.append(baseline.describe())
-        blocks.append(
+        baseline = bench(replace(config, workers=0))
+        blocks += [
+            "worker pool disabled (in-loop execution):",
+            baseline.describe(),
             f"worker-pool speedup ({args.workers} workers): "
-            f"{report.throughput / baseline.throughput:.1f}x"
-        )
+            f"{report.throughput / baseline.throughput:.1f}x",
+        ]
     elif args.compare and args.max_batch > 1:
-        baseline = bench_serving(max_batch=1, workers=args.workers, **kwargs)
-        blocks.append("batching disabled (max_batch=1):")
-        blocks.append(baseline.describe())
-        blocks.append(
+        baseline = bench(replace(config, max_batch=1))
+        blocks += [
+            "batching disabled (max_batch=1):",
+            baseline.describe(),
             f"micro-batching speedup: "
-            f"{report.throughput / baseline.throughput:.1f}x"
-        )
+            f"{report.throughput / baseline.throughput:.1f}x",
+        ]
     return "\n\n".join(blocks)
 
 

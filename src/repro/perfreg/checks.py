@@ -17,6 +17,8 @@ answer must be void in both the trajectory and the gate.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
@@ -30,6 +32,8 @@ from repro.perfreg.check import (
     SanityError,
 )
 from repro.perfreg.registry import register
+from repro.service.loadgen import bench_serving
+from repro.service.server import ServerConfig
 
 __all__ = [
     "MAX_ROUTER_P50_OVERHEAD",
@@ -228,6 +232,11 @@ def measure_cachesim_trace(
 #: The serving comparison workload (heaviest analytic scalar path).
 _SERVE_MODEL, _SERVE_METRIC = "capped", "energy_per_flop"
 _SERVE_MACHINES = ("gtx580-double", "i7-950-double")
+#: The server every serving measurement derives its variants from:
+#: batches wait up to 2 ms and the response cache is off.
+_SERVE_CONFIG = ServerConfig(
+    flush_window=units.milliseconds(2.0), cache_size=0
+)
 #: Four catalog machines whose crc32 routing keys land on four
 #: distinct shards at ``workers=4`` — full pool utilisation.
 _POOL_MACHINES = (
@@ -241,54 +250,46 @@ def _best_report(reports):
 
 
 def measure_serving(
+    config: ServerConfig = _SERVE_CONFIG,
     *,
     requests: int,
     concurrency: int = 64,
-    max_batch: int = 64,
-    workers: int = 0,
     workload: str = "scalar",
     machines=(),
     open_loop_rate: float | None = None,
     wire: str = "inproc",
-    plan_cache_size: int | None = None,
     router_backends: int = 0,
     replication: int = 1,
     repeats: int = 1,
 ):
-    """One serving configuration, best-of ``repeats`` full runs.
+    """One server ``config`` under one load, best-of ``repeats`` runs.
 
     Returns the winning :class:`~repro.service.loadgen.LoadReport`.
     Sanity: zero transport errors, every request served, and the wire
     framing actually negotiated — on every run, not just the winner.
     """
-    from repro.service.loadgen import bench_serving
-
     machines = tuple(machines) or (
-        _POOL_MACHINES if workers else _SERVE_MACHINES
+        _POOL_MACHINES if config.workers else _SERVE_MACHINES
     )
     reports = []
     for _ in range(max(1, repeats)):
         report = bench_serving(
+            config,
             requests=requests,
             concurrency=concurrency,
-            max_batch=max_batch,
-            flush_window=units.milliseconds(2.0),
-            cache_size=0,
             machines=machines,
             model=_SERVE_MODEL,
             metric=_SERVE_METRIC,
             workload=workload,
-            workers=workers,
             open_loop_rate=open_loop_rate,
             wire=wire,
-            plan_cache_size=plan_cache_size,
             router_backends=router_backends,
             replication=replication,
         )
         if report.errors:
             raise SanityError(
                 f"serving run reported {report.errors} errors "
-                f"(workers={workers}, workload={workload})"
+                f"(workers={config.workers}, workload={workload})"
             )
         if report.requests != requests:
             raise SanityError(
@@ -317,10 +318,11 @@ def measure_micro_batching(
     Sanity: batching genuinely happened in one run and not the other.
     """
     batched = measure_serving(
-        requests=requests, concurrency=128, max_batch=64, repeats=repeats
+        requests=requests, concurrency=128, repeats=repeats
     )
     unbatched = measure_serving(
-        requests=requests, concurrency=64, max_batch=1, repeats=repeats
+        replace(_SERVE_CONFIG, max_batch=1),
+        requests=requests, concurrency=64, repeats=repeats,
     )
     if batched.mean_batch <= 8.0:
         raise SanityError(
@@ -350,19 +352,19 @@ def measure_wire_path(
     encode/decode dominates the tail, not the mean); bytes-on-wire
     ride along.
     """
+    pooled = replace(_SERVE_CONFIG, workers=workers)
     fast = measure_serving(
+        pooled,
         requests=requests,
-        workers=workers,
         workload="mixed",
         wire="binary",
         repeats=repeats,
     )
     slow = measure_serving(
+        replace(pooled, plan_cache_size=0),
         requests=requests,
-        workers=workers,
         workload="mixed",
         wire="ndjson",
-        plan_cache_size=0,
         repeats=repeats,
     )
     if not (fast.bytes_sent and slow.bytes_sent):
@@ -456,31 +458,28 @@ def measure_cost_admission(
     served some of it, and the baseline saturated (its p99 is past
     the deadline) — otherwise the comparison is void.
     """
-    from repro.service.loadgen import bench_serving
-
-    kwargs: dict[str, Any] = dict(
+    baseline_config = replace(_SERVE_CONFIG, plan_cache_size=0)
+    governed_config = replace(
+        baseline_config,
+        admission="cost",
+        work_budget=_ADMISSION_WORK_BUDGET_S,
+        deadline_batching=True,
+    )
+    run = partial(
+        bench_serving,
         requests=requests,
         concurrency=64,
-        max_batch=64,
-        flush_window=units.milliseconds(2.0),
-        cache_size=0,
         machines=_SERVE_MACHINES,
         model=_SERVE_MODEL,
         metric=_SERVE_METRIC,
         workload="heavy",
         open_loop_rate=rate,
         timeout_ms=_ADMISSION_TIMEOUT_MS,
-        plan_cache_size=0,
     )
     governed_runs, baseline_runs = [], []
     for _ in range(max(1, repeats)):
-        governed = bench_serving(
-            admission="cost",
-            work_budget=_ADMISSION_WORK_BUDGET_S,
-            deadline_batching=True,
-            **kwargs,
-        )
-        baseline = bench_serving(**kwargs)
+        governed = run(governed_config)
+        baseline = run(baseline_config)
         if governed.requests != requests or baseline.requests != requests:
             raise SanityError(
                 f"admission runs drove {governed.requests}/"
@@ -516,10 +515,11 @@ def measure_worker_pool(
 ) -> dict[str, Any]:
     """Four worker processes vs in-loop execution, heavy workload."""
     pooled = measure_serving(
-        requests=requests, workers=4, workload="heavy", repeats=repeats
+        replace(_SERVE_CONFIG, workers=4),
+        requests=requests, workload="heavy", repeats=repeats,
     )
     inloop = measure_serving(
-        requests=requests, workers=0, workload="heavy",
+        requests=requests, workload="heavy",
         machines=_POOL_MACHINES, repeats=repeats,
     )
     if pooled.workers != 4 or inloop.workers != 0:
@@ -615,8 +615,8 @@ class ClosedLoopCheck(_ServingCheck):
     def run(self, ctx: CheckContext) -> Mapping[str, float]:
         workers = ctx.params["workers"]
         report = measure_serving(
+            replace(_SERVE_CONFIG, workers=workers),
             requests=self.requests,
-            workers=workers,
             workload="mixed" if workers else "scalar",
         )
         return self._report_values(report)
@@ -636,8 +636,8 @@ class OpenLoopCheck(_ServingCheck):
 
     def run(self, ctx: CheckContext) -> Mapping[str, float]:
         report = measure_serving(
+            replace(_SERVE_CONFIG, workers=ctx.params["workers"]),
             requests=self.requests,
-            workers=ctx.params["workers"],
             workload="mixed",
             open_loop_rate=self.rate,
         )

@@ -33,8 +33,10 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from contextlib import asynccontextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, AsyncIterator, Sequence
 
 import numpy as np
 
@@ -408,7 +410,8 @@ def _merge_server_stats(servers: Sequence[ModelServer]) -> dict[str, Any]:
     One server reduces to its own stats; multiple (the replicated
     backends behind a router) merge the additive counters, weight the
     batch-size mean by per-server counts, and recompute the cache hit
-    ratio from summed hits/misses rather than averaging ratios.
+    ratio from summed hits/misses rather than averaging ratios.  The
+    keys are :class:`LoadReport` field names.
     """
     engine_calls = 0
     hits = 0
@@ -444,7 +447,7 @@ def _merge_server_stats(servers: Sequence[ModelServer]) -> dict[str, Any]:
 
 
 def _finish_report(
-    server: ModelServer | None,
+    servers: Sequence[ModelServer],
     latencies: np.ndarray,
     *,
     errors: int,
@@ -453,13 +456,8 @@ def _finish_report(
     mode: str,
     workload: str,
     offered_rps: float,
-    backends: Sequence[ModelServer] = (),
 ) -> LoadReport:
     requests = latencies.size
-    sources = list(backends) if backends else (
-        [server] if server is not None else []
-    )
-    merged = _merge_server_stats(sources)
     ordered = to_milliseconds(np.sort(latencies))
     return LoadReport(
         requests=requests,
@@ -469,33 +467,38 @@ def _finish_report(
         throughput=requests / duration if duration > 0 else 0.0,
         p50_ms=float(ordered[int(0.50 * (requests - 1))]) if requests else 0.0,
         p99_ms=float(ordered[int(0.99 * (requests - 1))]) if requests else 0.0,
-        mean_batch=merged["mean_batch"],
-        max_batch=merged["max_batch"],
-        engine_calls=merged["engine_calls"],
-        cache_hit_ratio=merged["cache_hit_ratio"],
-        batch_size_counts=merged["batch_size_counts"],
         mode=mode,
         workload=workload,
         offered_rps=offered_rps,
-        workers=merged["workers"],
         latencies_ms=tuple(to_milliseconds(latencies).tolist()),
+        **_merge_server_stats(servers),
     )
 
 
-async def _warm_servers(
+async def _prepare(
     server: ModelServer | None,
+    client: Any | None,
     backends: Sequence[ModelServer],
     machines: Sequence[str],
-) -> None:
-    """Resolve machines and wait for worker pools on every local server
+) -> tuple[Any, list[ModelServer]]:
+    """The client a loop calls and the local servers it measures.
+
+    Resolves machines and waits for worker pools on every local server
     in the measurement, so cold boot isn't billed to the run.  External
-    targets (no local server objects) warm nothing."""
-    for instance in list(backends) or ([server] if server is not None else []):
+    targets (no local server objects) warm nothing.
+    """
+    servers = list(backends) or ([server] if server is not None else [])
+    if client is None:
+        if server is None:
+            raise ValueError("server=None requires an explicit client")
+        client = InProcessClient(server)
+    for instance in servers:
         for machine in machines:
             instance.engine.machine(machine)  # fail fast on config errors
         if instance.pool is not None:
             # Measure steady state, not the ~1 s/worker cold boot.
             await instance.pool.ready()
+    return client, servers
 
 
 async def run_closed_loop(
@@ -524,10 +527,6 @@ async def run_closed_loop(
     """
     if requests < 0 or concurrency < 1:
         raise ValueError("requests must be >= 0 and concurrency >= 1")
-    if client is None:
-        if server is None:
-            raise ValueError("server=None requires an explicit client")
-        client = InProcessClient(server)
     bodies = build_requests(
         requests,
         machines=machines,
@@ -537,7 +536,7 @@ async def run_closed_loop(
         workload=workload,
         timeout_ms=timeout_ms,
     )
-    await _warm_servers(server, backends, machines)
+    client, servers = await _prepare(server, client, backends, machines)
     latencies = np.empty(requests, dtype=float)
     errors = 0
     next_index = 0
@@ -561,7 +560,7 @@ async def run_closed_loop(
     await asyncio.gather(*(worker() for _ in range(concurrency)))
     duration = time.perf_counter() - started
     return _finish_report(
-        server,
+        servers,
         latencies,
         errors=errors,
         concurrency=concurrency,
@@ -569,7 +568,6 @@ async def run_closed_loop(
         mode="closed",
         workload=workload,
         offered_rps=0.0,
-        backends=backends,
     )
 
 
@@ -621,11 +619,7 @@ async def run_open_loop(
         seed=seed,
         timeout_ms=timeout_ms,
     )
-    if client is None:
-        if server is None:
-            raise ValueError("server=None requires an explicit client")
-        client = InProcessClient(server)
-    await _warm_servers(server, backends, machines)
+    client, servers = await _prepare(server, client, backends, machines)
     latencies = np.empty(requests, dtype=float)
     errors = 0
     call = client.call
@@ -649,7 +643,7 @@ async def run_open_loop(
     await asyncio.gather(*tasks)
     duration = time.perf_counter() - base
     return _finish_report(
-        server,
+        servers,
         latencies,
         errors=errors,
         concurrency=0,
@@ -659,84 +653,48 @@ async def run_open_loop(
         offered_rps=(
             requests / float(arrivals[-1]) if requests else 0.0
         ),
-        backends=backends,
     )
 
 
 def bench_serving(
+    config: ServerConfig | None = None,
     *,
     requests: int = 2000,
     concurrency: int = 64,
-    max_batch: int = 64,
-    flush_window: float = 0.001,
-    cache_size: int = 0,
     machines: Sequence[str] = _DEFAULT_MACHINES,
     model: str = "energy",
     metric: str = "energy_per_flop",
     unique_intensities: bool = True,
     workload: str = "scalar",
-    workers: int = 0,
-    shard_by: str = "machine",
     open_loop_rate: float | None = None,
     arrival: str | None = None,
     timeout_ms: float | None = None,
     wire: str = "inproc",
-    plan_cache_size: int | None = None,
-    admission: str | None = None,
-    work_budget: float | None = None,
-    power_cap: float | None = None,
-    admission_wait: float | None = None,
-    deadline_batching: bool | None = None,
-    autoscale_min: int | None = None,
-    autoscale_max: int | None = None,
-    autoscale_interval: float | None = None,
     router_backends: int = 0,
     replication: int = 1,
     target: str | None = None,
 ) -> LoadReport:
     """One synchronous end-to-end serving benchmark run.
 
-    Builds a fresh in-process server with the given batching / caching
-    / worker-tier knobs, runs the load (closed loop by default; open
-    loop at ``open_loop_rate`` requests/s when given), drains, and
-    returns the report.  The cache defaults to *off* so the
-    measurement isolates the execution path under test.
+    Builds the topology, runs the load — a closed loop by default, a
+    Poisson open loop at ``open_loop_rate`` requests/s, or the seeded
+    ramp ``arrival="ramp:LO:HI:SECS"`` (:func:`ramp_arrival_schedule`;
+    the request count follows the schedule) — drains, and returns the
+    report.  Local servers are built from ``config``; ``None`` means
+    the defaults with the response cache off (``cache_size=0``), so
+    the run isolates the execution path under test.  The admission
+    queue is widened to at least ``2 * concurrency``.
 
-    ``wire`` selects the transport under test: ``"inproc"`` (default)
-    calls the handler directly; ``"ndjson"`` and ``"binary"`` serve a
-    real loopback TCP socket and drive it through one
-    :class:`~repro.service.client.AsyncServiceClient` negotiated to
-    that framing, so the report's latency distribution and
-    bytes-on-wire compare the framings end to end.  ``plan_cache_size``
-    passes through to :class:`ServerConfig` when given (``None`` keeps
-    the server default) — the perfreg wire check pins its baseline by
-    disabling the plan cache.
-
-    ``router_backends=N`` (N ≥ 1) benchmarks the scale-out tier
-    instead of one server: N backend servers (each with the same
-    pipeline knobs) listen on loopback TCP, a
-    :class:`~repro.service.router.RouterServer` with the given
-    ``replication`` fronts them, and the client drives the *router* —
-    so the report's latency and bytes-on-wire include the extra hop,
-    while engine/cache statistics are merged across all backends.
-    Router runs require a TCP ``wire`` (``"ndjson"`` or ``"binary"``).
-
-    ``target="HOST:PORT"`` instead drives an already-running external
-    server or router: no local processes are built, and the pipeline
-    statistics (engine calls, batch sizes, cache ratio) read as zero
-    since they live in the remote process — latency, throughput, and
-    bytes-on-wire are still measured.  A target that cannot be reached
-    within :data:`TARGET_CONNECT_TIMEOUT` seconds fails with a clear
-    error instead of hanging.
-
-    ``arrival="ramp:LO:HI:SECS"`` drives the seeded linear-ramp
-    arrival schedule (:func:`ramp_arrival_schedule`) instead of the
-    fixed-rate Poisson open loop; the request count follows the
-    schedule.  ``admission`` / ``work_budget`` / ``power_cap`` /
-    ``admission_wait`` / ``deadline_batching`` / ``autoscale_*`` pass
-    through to :class:`ServerConfig` when given (``None`` keeps server
-    defaults) — how the cost-admission perfreg check builds its
-    treatment and baseline servers from one code path.
+    The topology follows from three arguments.  ``wire="inproc"``
+    calls one server's handler directly; ``"ndjson"``/``"binary"``
+    drive it over loopback TCP with that framing, and the report adds
+    the bytes on the wire.  ``router_backends=N`` puts N servers behind
+    a :class:`~repro.service.router.RouterServer` with the given
+    ``replication`` and merges their statistics.  ``target="HOST:PORT"``
+    builds nothing and drives an external server or router: a
+    ``config`` is then an error, engine/cache statistics read as zero,
+    and an unreachable target fails within
+    :data:`TARGET_CONNECT_TIMEOUT` seconds instead of hanging.
     """
     if wire not in ("inproc", "ndjson", "binary"):
         raise ValueError(
@@ -757,184 +715,125 @@ def bench_serving(
             "arrival and open_loop_rate are mutually exclusive — the "
             "arrival spec defines its own rate profile"
         )
-    if target is not None and (
-        workers
-        or autoscale_max
-        or plan_cache_size is not None
-    ):
-        raise ValueError(
-            "workers/autoscale/plan_cache_size configure a "
-            "locally built server and cannot apply to an external --target"
-        )
-    arrivals = parse_arrival_spec(arrival) if arrival is not None else None
-
-    async def _drive(
-        server: ModelServer | None,
-        client: Any | None,
-        backends: Sequence[ModelServer] = (),
-    ) -> LoadReport:
-        if open_loop_rate is not None or arrivals is not None:
-            return await run_open_loop(
-                server,
-                rate=open_loop_rate,
-                requests=requests,
-                machines=machines,
-                model=model,
-                metric=metric,
-                unique_intensities=unique_intensities,
-                workload=workload,
-                timeout_ms=timeout_ms,
-                arrivals=arrivals,
-                client=client,
-                backends=backends,
-            )
-        return await run_closed_loop(
-            server,
-            requests=requests,
-            concurrency=concurrency,
-            machines=machines,
-            model=model,
-            metric=metric,
-            unique_intensities=unique_intensities,
-            workload=workload,
-            timeout_ms=timeout_ms,
-            client=client,
-            backends=backends,
-        )
-
-    def _server_config() -> ServerConfig:
-        config_kwargs: dict[str, Any] = {}
-        if plan_cache_size is not None:
-            config_kwargs["plan_cache_size"] = plan_cache_size
-        if admission is not None:
-            config_kwargs["admission"] = admission
-        if work_budget is not None:
-            config_kwargs["work_budget"] = work_budget
-        if power_cap is not None:
-            config_kwargs["power_cap"] = power_cap
-        if admission_wait is not None:
-            config_kwargs["admission_wait"] = admission_wait
-        if deadline_batching is not None:
-            config_kwargs["deadline_batching"] = deadline_batching
-        if autoscale_min is not None:
-            config_kwargs["autoscale_min"] = autoscale_min
-        if autoscale_max is not None:
-            config_kwargs["autoscale_max"] = autoscale_max
-        if autoscale_interval is not None:
-            config_kwargs["autoscale_interval"] = autoscale_interval
-        return ServerConfig(
-            max_batch=max_batch,
-            flush_window=flush_window,
-            cache_size=cache_size,
-            queue_limit=max(1024, concurrency * 2),
-            workers=workers,
-            shard_by=shard_by,
-            **config_kwargs,
-        )
-
-    def _wire_report(report: LoadReport, client: Any) -> LoadReport:
-        return replace(
-            report,
-            wire=wire,
-            bytes_sent=client.bytes_sent,
-            bytes_received=client.bytes_received,
-        )
-
-    async def _run_target() -> LoadReport:
-        host, _, port = str(target).rpartition(":")
-        if not host or not port.isdigit():
+    if target is not None:
+        if config is not None:
             raise ValueError(
-                f"target must look like HOST:PORT, got {target!r}"
+                "a server config configures a locally built server and "
+                "cannot apply to an external --target"
             )
-        try:
-            client = await asyncio.wait_for(
-                AsyncServiceClient.connect(host, int(port), wire=wire),
-                timeout=TARGET_CONNECT_TIMEOUT,
-            )
-        except asyncio.TimeoutError:
-            raise ConnectionError(
-                f"could not connect to target {target!r} within "
-                f"{TARGET_CONNECT_TIMEOUT:g}s — check the address is a "
-                f"running repro server/router and that the requested "
-                f"wire ({wire!r}) matches what it speaks"
-            ) from None
-        except OSError as exc:
-            raise ConnectionError(
-                f"could not connect to target {target!r}: {exc}"
-            ) from exc
-        try:
-            report = await _drive(None, client)
-            return replace(
-                _wire_report(report, client), target=str(target)
-            )
-        finally:
-            await client.close()
+    else:
+        config = config or ServerConfig(cache_size=0)
+        config = replace(
+            config, queue_limit=max(config.queue_limit, 2 * concurrency)
+        )
+    if arrival is None and open_loop_rate is None:
+        loop = partial(run_closed_loop, concurrency=concurrency)
+    else:
+        arrivals = parse_arrival_spec(arrival) if arrival is not None else None
+        loop = partial(run_open_loop, rate=open_loop_rate, arrivals=arrivals)
+    drive = partial(
+        loop,
+        requests=requests,
+        machines=machines,
+        model=model,
+        metric=metric,
+        unique_intensities=unique_intensities,
+        workload=workload,
+        timeout_ms=timeout_ms,
+    )
 
-    async def _run_router() -> LoadReport:
-        backends: list[ModelServer] = []
-        router = None
-        client = None
-        try:
-            addresses = []
-            for _ in range(router_backends):
-                backend = ModelServer(_server_config())
-                backends.append(backend)
-                host, port = await backend.start()
-                addresses.append(f"{host}:{port}")
-            router = RouterServer(
-                addresses, RouterConfig(replication=replication)
-            )
-            host, port = await router.start()
-            client = await AsyncServiceClient.connect(host, port, wire=wire)
-            if client.wire != wire:  # pragma: no cover - local router
-                raise RuntimeError(
-                    f"negotiated {client.wire!r} framing, wanted {wire!r}"
-                )
-            report = await _drive(None, client, backends)
+    async def _run() -> LoadReport:
+        async with _topology(
+            config,
+            wire=wire,
+            router_backends=router_backends,
+            replication=replication,
+            target=target,
+        ) as (client, servers):
+            server = servers[0] if client is None else None
+            report = await drive(server, client=client, backends=servers)
+            if client is None:
+                return report
             return replace(
-                _wire_report(report, client),
+                report,
+                wire=wire,
+                bytes_sent=client.bytes_sent,
+                bytes_received=client.bytes_received,
                 router_backends=router_backends,
-                replication=replication,
+                replication=replication if router_backends else 0,
+                target=target or "",
             )
-        finally:
-            if client is not None:
-                await client.close()
-            if router is not None:
-                await router.stop()
-            for backend in backends:
-                await backend.stop()
 
-    async def _run_single() -> LoadReport:
-        server = ModelServer(_server_config())
-        client = None
-        tcp_server = None
-        try:
+    return asyncio.run(_run())
+
+
+@asynccontextmanager
+async def _topology(
+    config: ServerConfig | None,
+    *,
+    wire: str,
+    router_backends: int,
+    replication: int,
+    target: str | None,
+) -> AsyncIterator[tuple[Any | None, list[ModelServer]]]:
+    """The serving topology one :func:`bench_serving` run drives.
+
+    Yields ``(client, servers)``: the client is ``None`` for an
+    ``"inproc"`` run (the loops call the one server's handler
+    directly), and ``servers`` are the local servers whose statistics
+    the report merges — empty when ``target`` names an external
+    server.  Starts backends, then the router (``router_backends >
+    0``), then the client; tears down in the reverse order.
+    """
+    servers: list[ModelServer] = []
+    router: RouterServer | None = None
+    client: AsyncServiceClient | None = None
+    try:
+        if target is not None:
+            host, _, port = target.rpartition(":")
+            if not host or not port.isdigit():
+                raise ValueError(
+                    f"target must look like HOST:PORT, got {target!r}"
+                )
+            try:
+                client = await asyncio.wait_for(
+                    AsyncServiceClient.connect(host, int(port), wire=wire),
+                    timeout=TARGET_CONNECT_TIMEOUT,
+                )
+            except asyncio.TimeoutError:
+                raise ConnectionError(
+                    f"could not connect to target {target!r} within "
+                    f"{TARGET_CONNECT_TIMEOUT:g}s — check the address is a "
+                    f"running repro server/router and that the requested "
+                    f"wire ({wire!r}) matches what it speaks"
+                ) from None
+            except OSError as exc:
+                raise ConnectionError(
+                    f"could not connect to target {target!r}: {exc}"
+                ) from exc
+        else:
+            assert config is not None
+            for _ in range(max(1, router_backends)):
+                servers.append(ModelServer(config))
             if wire != "inproc":
-                tcp_server = await asyncio.start_server(
-                    server._on_connection, "127.0.0.1", 0
-                )
-                port = tcp_server.sockets[0].getsockname()[1]
-                client = await AsyncServiceClient.connect(
-                    "127.0.0.1", port, wire=wire
-                )
+                addresses = [await server.start() for server in servers]
+                address = addresses[0]
+                if router_backends:
+                    router = RouterServer(
+                        [f"{host}:{port}" for host, port in addresses],
+                        RouterConfig(replication=replication),
+                    )
+                    address = await router.start()
+                client = await AsyncServiceClient.connect(*address, wire=wire)
                 if client.wire != wire:  # pragma: no cover - local server
                     raise RuntimeError(
                         f"negotiated {client.wire!r} framing, wanted {wire!r}"
                     )
-            report = await _drive(server, client)
-            if client is not None:
-                report = _wire_report(report, client)
-            return report
-        finally:
-            if client is not None:
-                await client.close()
-            if tcp_server is not None:
-                tcp_server.close()
-                await tcp_server.wait_closed()
+        yield client, servers
+    finally:
+        if client is not None:
+            await client.close()
+        if router is not None:
+            await router.stop()
+        for server in servers:
             await server.stop()
-
-    if target is not None:
-        return asyncio.run(_run_target())
-    if router_backends > 0:
-        return asyncio.run(_run_router())
-    return asyncio.run(_run_single())

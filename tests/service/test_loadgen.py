@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 import socket
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.service import loadgen
+from repro.service import ModelServer, ServerConfig, loadgen
 from repro.service.loadgen import (
     LoadReport,
     bench_serving,
@@ -40,7 +42,9 @@ class TestIntensitySequence:
 class TestBenchServing:
     def test_small_batched_run(self):
         report = bench_serving(
-            requests=96, concurrency=24, max_batch=8, flush_window=0.002
+            ServerConfig(max_batch=8, flush_window=0.002, cache_size=0),
+            requests=96,
+            concurrency=24,
         )
         assert isinstance(report, LoadReport)
         assert report.requests == 96
@@ -57,21 +61,27 @@ class TestBenchServing:
 
     def test_unbatched_run_calls_engine_per_request(self):
         report = bench_serving(
-            requests=32, concurrency=8, max_batch=1, flush_window=0.0
+            ServerConfig(max_batch=1, flush_window=0.0, cache_size=0),
+            requests=32,
+            concurrency=8,
         )
         assert report.errors == 0
         assert report.engine_calls == 32
 
     def test_cache_participates_when_enabled(self):
         report = bench_serving(
-            requests=64, concurrency=8, max_batch=8, cache_size=256,
+            ServerConfig(max_batch=8, cache_size=256),
+            requests=64,
+            concurrency=8,
             unique_intensities=False,
         )
         assert report.errors == 0
         assert report.cache_hit_ratio > 0
 
     def test_describe_is_readable(self):
-        report = bench_serving(requests=32, concurrency=8, max_batch=8)
+        report = bench_serving(
+            ServerConfig(max_batch=8, cache_size=0), requests=32, concurrency=8
+        )
         text = report.describe()
         assert "throughput" in text
         assert "p99" in text
@@ -153,7 +163,9 @@ class TestBuildRequests:
 class TestOpenLoop:
     def test_open_loop_report(self):
         report = bench_serving(
-            requests=64, concurrency=8, max_batch=8, flush_window=0.001,
+            ServerConfig(max_batch=8, flush_window=0.001, cache_size=0),
+            requests=64,
+            concurrency=8,
             open_loop_rate=2000.0,
         )
         assert report.mode == "open"
@@ -292,11 +304,12 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 2},
-            {"autoscale_max": 2},
-            {"plan_cache_size": 4},
-            # A falsy value is still an explicit local knob.
-            {"plan_cache_size": 0},
+            {"config": ServerConfig(workers=2)},
+            {"config": ServerConfig(autoscale_max=2)},
+            {"config": ServerConfig(plan_cache_size=4)},
+            {"config": ServerConfig(plan_cache_size=0)},
+            # Even an all-defaults config describes a local server.
+            {"config": ServerConfig()},
         ],
     )
     def test_target_refuses_local_server_knobs(self, kwargs):
@@ -318,3 +331,91 @@ class TestFailFast:
         with pytest.raises(ConnectionError, match="could not connect"):
             bench_serving(requests=8, target=f"127.0.0.1:{port}", wire="ndjson")
         assert time.monotonic() - started < loadgen.TARGET_CONNECT_TIMEOUT
+
+
+@pytest.fixture
+def external_server():
+    """A started :class:`ModelServer` on its own thread and event loop —
+    an "already running" server for ``target=`` runs to drive."""
+    loop = asyncio.new_event_loop()
+    server = ModelServer(ServerConfig(cache_size=0))
+    started = threading.Event()
+
+    def serve() -> None:
+        asyncio.set_event_loop(loop)
+        loop.run_until_complete(server.start())
+        started.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert started.wait(10.0)
+    try:
+        yield server
+    finally:
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10.0)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10.0)
+        loop.close()
+
+
+class TestTopologies:
+    """One small run through every topology ``bench_serving`` builds."""
+
+    REQUESTS = 64
+
+    def _run(self, config=None, **kwargs):
+        report = bench_serving(
+            config, requests=self.REQUESTS, concurrency=8, **kwargs
+        )
+        assert report.errors == 0
+        assert report.requests == self.REQUESTS
+        return report
+
+    def test_inproc(self):
+        report = self._run(ServerConfig(max_batch=8, cache_size=0))
+        assert report.wire == "inproc"
+        assert report.bytes_sent == report.bytes_received == 0
+        assert (report.router_backends, report.target) == (0, "")
+        assert report.engine_calls > 0
+
+    @pytest.mark.parametrize("wire", ["ndjson", "binary"])
+    def test_direct_tcp(self, wire):
+        report = self._run(wire=wire)
+        assert report.wire == wire
+        assert report.bytes_sent > 0 and report.bytes_received > 0
+        assert (report.router_backends, report.replication) == (0, 0)
+        assert report.target == ""
+        assert report.engine_calls > 0
+
+    def test_router_merges_every_backend(self, monkeypatch):
+        merged = []
+        merge = loadgen._merge_server_stats
+
+        def spy(servers):
+            merged.append(len(servers))
+            return merge(servers)
+
+        monkeypatch.setattr(loadgen, "_merge_server_stats", spy)
+        report = self._run(wire="binary", router_backends=2, replication=2)
+        assert report.wire == "binary"
+        assert (report.router_backends, report.replication) == (2, 2)
+        assert report.target == ""
+        assert merged == [2]
+        # Scalar evals: every request is one batched point somewhere.
+        assert sum(
+            int(size) * count
+            for size, count in report.batch_size_counts.items()
+        ) == self.REQUESTS
+
+    def test_target(self, external_server):
+        host, port = external_server.address
+        report = self._run(wire="binary", target=f"{host}:{port}")
+        assert report.wire == "binary"
+        assert report.target == f"{host}:{port}"
+        assert report.router_backends == 0
+        assert report.bytes_sent > 0
+        # Pipeline statistics live in the remote process.
+        assert report.engine_calls == 0
+        served = external_server.stats()["counters"]["requests_total"]
+        assert served == self.REQUESTS

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _server_config, build_parser, main
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -290,6 +290,104 @@ class TestServeParser:
         assert args.model == "capped"
         assert args.metric == "energy_per_flop"
         assert args.machines == ["gtx580-double", "i7-950-double"]
+
+
+#: One non-default value per server flag ``serve`` and ``bench-serve``
+#: share; the ``ServerConfig`` field is the flag minus ``--``/``-ms``.
+SHARED_SERVER_FLAGS = [
+    ("--max-batch", "8"),
+    ("--flush-window-ms", "0.5"),
+    ("--cache-size", "7"),
+    ("--workers", "2"),
+    ("--shard-by", "model"),
+    ("--plan-cache-size", "0"),
+    ("--admission", "cost"),
+    ("--work-budget", "0.5"),
+    ("--power-cap", "90"),
+    ("--admission-wait-ms", "5"),
+    ("--deadline-batching",),
+    ("--autoscale-min", "1"),
+    ("--autoscale-max", "3"),
+    ("--autoscale-interval", "0.5"),
+]
+
+
+class TestSharedServerFlags:
+    def test_serve_defaults_are_the_server_defaults(self):
+        from repro.service import ServerConfig
+
+        args = build_parser().parse_args(["serve"])
+        assert _server_config(args, port=args.port) == ServerConfig(port=8733)
+
+    @pytest.mark.parametrize(
+        "flag", SHARED_SERVER_FLAGS, ids=lambda flag: flag[0]
+    )
+    def test_flag_sets_the_same_field_for_serve_and_bench_serve(self, flag):
+        field = flag[0][2:].removesuffix("-ms").replace("-", "_")
+        parser = build_parser()
+        configs = {
+            command: _server_config(parser.parse_args([command, *flag]))
+            for command in ("serve", "bench-serve")
+        }
+        unset = _server_config(parser.parse_args(["serve"]))
+        value = getattr(configs["serve"], field)
+        assert getattr(configs["bench-serve"], field) == value
+        assert value != getattr(unset, field)
+
+
+class TestBenchServeTarget:
+    """``--target`` drives a server configured elsewhere: every server
+    flag and every server-side ``--compare`` is refused before any
+    connection is attempted (nothing listens on port 9 here)."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--workers", "2"),
+            ("--max-batch", "1"),
+            ("--admission", "cost", "--work-budget", "0"),
+        ],
+    )
+    def test_server_flags_are_refused(self, capsys, flags):
+        code, _, err = run_cli(
+            capsys, "bench-serve", "--requests", "8", "--wire", "ndjson",
+            "--target", "127.0.0.1:9", *flags,
+        )
+        assert code == 1
+        assert err.startswith("error: bench-serve --target")
+        assert "could not connect" not in err
+
+    def test_compare_needs_the_binary_wire(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bench-serve", "--requests", "8", "--wire", "ndjson",
+            "--target", "127.0.0.1:9", "--compare",
+        )
+        assert code == 1
+        assert "--compare needs --wire binary" in err
+        assert "could not connect" not in err
+
+
+class TestConfigErrors:
+    """Configuration mistakes print one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("serve", "--port", "0", "--admission", "cost"),
+            ("bench-serve", "--requests", "8", "--open-loop", "50",
+             "--arrival", "ramp:10:20:0.5"),
+            ("bench-serve", "--requests", "8", "--wire", "ndjson",
+             "--target", "nonsense"),
+        ],
+        ids=["cost-without-budget", "open-loop-and-arrival", "bad-target"],
+    )
+    def test_one_line_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestParser:
