@@ -28,10 +28,11 @@ still bit-identical to direct model calls, each machine's requests
 pinned to one backend, zero errors, zero failovers, clean drain.
 
 With ``--admission cost`` the server runs the roofline cost model in
-the request path — predicted-work admission (a generous budget, so
-nothing is refused) plus deadline-aware batch sizing — and every
-assertion above must still hold bit-for-bit: the cost loop may move
-batch boundaries, never values.
+the request path — predicted-work admission and a power cap (both
+generous, so nothing is refused) plus deadline-aware batch sizing —
+and every assertion above must still hold bit-for-bit: the cost loop
+may move batch boundaries, never values.  After the drain the held
+(count, seconds, watts) vector must be back at zero.
 
 With ``--autoscale`` the smoke instead drives a ramping open-loop
 arrival schedule at a one-worker server bounded at two workers: the
@@ -329,9 +330,13 @@ def main() -> None:
         return
 
     cost_kwargs = (
-        # A budget far above anything ~100 requests can queue: the
-        # cost loop runs on every request, refuses none of them.
-        dict(admission="cost", work_budget=60.0, deadline_batching=True)
+        # A budget and a power cap far above anything ~100 requests can
+        # queue: every admission dimension runs on every request, and
+        # none refuses.
+        dict(
+            admission="cost", work_budget=60.0, power_cap=1e6,
+            deadline_batching=True,
+        )
         if args.admission == "cost"
         else {}
     )
@@ -357,15 +362,25 @@ def main() -> None:
         if args.admission == "cost":
             stats = server.stats()
             cost = stats["cost"]
+            admission = stats["admission"]
             accepted = stats["counters"]["admission_accepted_total"]
             rejected = stats["counters"]["admission_rejected_total"]
+            shed = stats["counters"]["admission_shed_total"]
             assert cost["predictions"] > 0, "cost model never consulted"
             assert cost["observations"] > 0, "no wall times fed the fit"
             assert accepted > 0 and rejected == 0, (accepted, rejected)
+            assert shed == 0, f"{shed} requests shed under a generous cap"
+            # Drained: the whole held vector is back at zero.
+            assert stats["inflight"] == 0, stats["inflight"]
+            assert admission["predicted_work_s"] == 0, admission
+            assert admission["predicted_power_w"] == 0, admission
+            assert admission["predicted_power_hwm_w"] > 0, admission
             print(
                 f"cost admission: {accepted} admitted, 0 refused, "
                 f"{cost['predictions']} predictions over {cost['keys']} "
-                f"fitted keys, {cost['observations']} observations"
+                f"fitted keys, {cost['observations']} observations, "
+                f"peak predicted power "
+                f"{admission['predicted_power_hwm_w']:.4g} W"
             )
         assert server.batcher.pending_requests == 0
         for process in workers:

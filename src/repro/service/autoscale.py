@@ -38,8 +38,9 @@ import contextlib
 import math
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.service.metrics import MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.metrics import MetricsRegistry
     from repro.service.workers import WorkerPool
 
 __all__ = ["AutoScaler", "DEFAULT_TARGET_UTILIZATION"]
@@ -78,7 +79,8 @@ class AutoScaler:
     alpha:
         Arrival-rate EWMA smoothing factor in (0, 1].
     metrics:
-        Optional registry; maintains the ``workers_current`` gauge.
+        Registry holding the ``workers_current`` gauge; a private one
+        when omitted.
     """
 
     def __init__(
@@ -93,7 +95,7 @@ class AutoScaler:
         target_utilization: float = DEFAULT_TARGET_UTILIZATION,
         cooldown_intervals: int = 4,
         alpha: float = 0.5,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
     ):
         if min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {min_workers}")
@@ -133,11 +135,10 @@ class AutoScaler:
         self._scale_downs = 0
         self._errors = 0
         self._task: asyncio.Task | None = None
-        self._workers_gauge = (
-            metrics.gauge("workers_current") if metrics is not None else None
+        self._workers_gauge = (metrics or MetricsRegistry()).gauge(
+            "workers_current"
         )
-        if self._workers_gauge is not None:
-            self._workers_gauge.set(pool.workers)
+        self._workers_gauge.set(pool.workers)
 
     # ------------------------------------------------------------------
     # Evaluation (one interval)
@@ -168,7 +169,7 @@ class AutoScaler:
             self._state = "scale_up"
             await self.pool.resize(desired)
             self._scale_ups += 1
-            self._set_gauge()
+            self._workers_gauge.set(self.pool.workers)
             return desired
         if desired < current:
             self._low_intervals += 1
@@ -179,7 +180,7 @@ class AutoScaler:
             self._state = "steady"
             await self.pool.resize(desired)
             self._scale_downs += 1
-            self._set_gauge()
+            self._workers_gauge.set(self.pool.workers)
             return desired
         self._low_intervals = 0
         self._state = "steady"
@@ -215,10 +216,6 @@ class AutoScaler:
                 raise
             except Exception:  # noqa: BLE001 - sizing must not kill serving
                 self._errors += 1
-
-    def _set_gauge(self) -> None:
-        if self._workers_gauge is not None:
-            self._workers_gauge.set(self.pool.workers)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -44,19 +44,25 @@ from typing import TYPE_CHECKING, Awaitable, Callable
 
 import numpy as np
 
+from repro.service.metrics import MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.costmodel import CostPredictor
     from repro.service.engine import EvalEngine
-    from repro.service.metrics import MetricsRegistry
 
 #: Async batch executor: (machine, model, metric, intensities) → values.
 BatchExecutor = Callable[
     [str, str, str, np.ndarray], "Awaitable[np.ndarray]"
 ]
 
-__all__ = ["MicroBatcher"]
+__all__ = ["DEADLINE_MARGIN", "MicroBatcher"]
 
 BatchKey = tuple[str, str, str]  # (machine, model, metric)
+
+#: Safety multiplier on the predicted batch service time when computing
+#: the latest safe flush instant (> 1 leaves headroom for prediction
+#: error and scatter).
+DEADLINE_MARGIN = 1.25
 
 
 class _Pending:
@@ -90,8 +96,9 @@ class MicroBatcher:
         floor a lone request pays for batching; ``0`` coalesces only
         within one event-loop iteration.
     metrics:
-        Optional registry; records the batch-size distribution under
-        ``batch_size`` and flush count under ``engine_flushes``.
+        Registry recording the batch-size distribution under
+        ``batch_size`` and flush count under ``engine_flushes``; a
+        private one when omitted.
     execute:
         Optional *async* batch executor.  When set, a flush awaits
         ``execute(machine, model, metric, intensities)`` from its own
@@ -105,10 +112,6 @@ class MicroBatcher:
         set, every flush's wall time is observed into it, and
         submissions carrying a ``deadline`` get deadline-aware batch
         sizing (see the module docstring).
-    deadline_margin:
-        Safety multiplier on the predicted batch service time when
-        computing the latest safe flush instant (> 1 leaves headroom
-        for prediction error and scatter).
     """
 
     def __init__(
@@ -117,35 +120,24 @@ class MicroBatcher:
         *,
         max_batch: int = 64,
         flush_window: float = 0.001,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
         execute: BatchExecutor | None = None,
         cost: "CostPredictor | None" = None,
-        deadline_margin: float = 1.25,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if flush_window < 0:
             raise ValueError(f"flush_window must be >= 0, got {flush_window}")
-        if deadline_margin <= 0:
-            raise ValueError(
-                f"deadline_margin must be > 0, got {deadline_margin}"
-            )
         self.engine = engine
         self.max_batch = max_batch
         self.flush_window = flush_window
         self.cost = cost
-        self.deadline_margin = deadline_margin
         self._execute = execute
         self._pending: dict[BatchKey, _Pending] = {}
         self._flush_tasks: set[asyncio.Task] = set()
-        self._batch_hist = (
-            metrics.histogram("batch_size", track_values=True)
-            if metrics is not None
-            else None
-        )
-        self._flush_counter = (
-            metrics.counter("engine_flushes") if metrics is not None else None
-        )
+        metrics = metrics or MetricsRegistry()
+        self._batch_hist = metrics.histogram("batch_size", track_values=True)
+        self._flush_counter = metrics.counter("engine_flushes")
 
     # ------------------------------------------------------------------
 
@@ -207,7 +199,7 @@ class MicroBatcher:
 
         The latest safe flush instant is the earliest member deadline
         minus the predicted service time of the batch *as it stands*
-        (scaled by ``deadline_margin``).  Past it, flush now; before
+        (scaled by :data:`DEADLINE_MARGIN`).  Past it, flush now; before
         it, pull the flush timer forward if the fixed window would
         fire too late.  The window still caps the wait — deadline
         sizing only ever flushes *earlier* than the window would.
@@ -215,7 +207,7 @@ class MicroBatcher:
         predicted = self.cost.predict(
             "eval", key[0], key[1], len(pending.futures)
         )
-        latest = pending.deadline - predicted.seconds * self.deadline_margin
+        latest = pending.deadline - predicted.seconds * DEADLINE_MARGIN
         now = loop.time()
         if latest <= now:
             self.flush(key)
@@ -238,10 +230,8 @@ class MicroBatcher:
             return
         if pending.timer is not None:
             pending.timer.cancel()
-        if self._flush_counter is not None:
-            self._flush_counter.inc()
-        if self._batch_hist is not None:
-            self._batch_hist.observe(len(pending.futures))
+        self._flush_counter.inc()
+        self._batch_hist.observe(len(pending.futures))
         intensities = np.asarray(pending.intensities, dtype=float)
         if self._execute is not None:
             task = asyncio.ensure_future(

@@ -41,10 +41,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 from repro import units
+from repro.service.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.engine import EvalEngine
-    from repro.service.metrics import MetricsRegistry
 
 __all__ = [
     "CostEstimate",
@@ -155,44 +155,34 @@ class CostPredictor:
     engine:
         The :class:`~repro.service.engine.EvalEngine` used to resolve
         machine parameters for seeding (resolution failures fall back
-        to generic constants — prediction never raises).
-    alpha:
-        EWMA smoothing factor for ``per_point`` refinement in (0, 1].
+        to generic constants — prediction never raises).  Seeds scale
+        modeled flops to host seconds by :data:`HOST_CALIBRATION`;
+        refinement smooths by :data:`DEFAULT_EWMA_ALPHA`.
     max_keys:
         Fit-cache entry bound (LRU on canonical keys).
-    calibration:
-        Modeled-flops → host-seconds seed factor; tests pin it to make
-        seeds exact.
     metrics:
-        Optional registry; records predicted-vs-observed relative error
-        (percent) under ``cost_rel_error_pct``.
+        Registry recording predicted-vs-observed relative error
+        (percent) under ``cost_rel_error_pct``; a private one when
+        omitted.
     """
 
     def __init__(
         self,
         engine: "EvalEngine",
         *,
-        alpha: float = DEFAULT_EWMA_ALPHA,
         max_keys: int = DEFAULT_COST_KEYS,
-        calibration: float = HOST_CALIBRATION,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if max_keys < 1:
             raise ValueError(f"max_keys must be >= 1, got {max_keys}")
         self.engine = engine
-        self.alpha = alpha
         self.max_keys = max_keys
-        self.calibration = calibration
         self._fits: OrderedDict[tuple[str, str, str], _Fit] = OrderedDict()
         self._predictions = 0
         self._observations = 0
         self._evictions = 0
-        self._rel_err_pct = (
-            metrics.histogram("cost_rel_error_pct")
-            if metrics is not None
-            else None
+        self._rel_err_pct = (metrics or MetricsRegistry()).histogram(
+            "cost_rel_error_pct"
         )
 
     # ------------------------------------------------------------------
@@ -249,17 +239,16 @@ class CostPredictor:
         fit = self._fit(op, machine, model)
         n = max(1, int(size))
         predicted = fit.overhead + fit.per_point * n
-        if self._rel_err_pct is not None:
-            self._rel_err_pct.observe(
-                units.to_percent(abs(predicted - seconds) / seconds)
-            )
+        self._rel_err_pct.observe(
+            units.to_percent(abs(predicted - seconds) / seconds)
+        )
         # Only the slope refines; the seeded overhead stays put, so a
         # constant observed time converges exactly (see tests).
         target = max(seconds - fit.overhead, 0.0) / n
         if fit.observations == 0:
             fit.per_point = target
         else:
-            fit.per_point += self.alpha * (target - fit.per_point)
+            fit.per_point += DEFAULT_EWMA_ALPHA * (target - fit.per_point)
         fit.observations += 1
         self._observations += 1
 
@@ -329,7 +318,7 @@ class CostPredictor:
             except Exception:  # noqa: BLE001 - admission never raises
                 pass
         flops = _OP_POINT_FLOPS.get(op, _DEFAULT_POINT_FLOPS)
-        per_point = flops * tau * self.calibration
+        per_point = flops * tau * HOST_CALIBRATION
         return _Fit(
             per_point=per_point,
             overhead=_SEED_OVERHEAD_S,

@@ -7,10 +7,11 @@ InProcessClient` and the load generator) and over TCP as
 newline-delimited JSON (see :mod:`repro.service.protocol`) — and runs
 every request through the same pipeline:
 
-1. **Admission control** — a bounded in-flight budget
-   (``queue_limit``); beyond it requests are *refused* with an
-   ``overloaded`` reply instead of buffered without bound, so latency
-   stays bounded and clients get an explicit backpressure signal.
+1. **Admission control** — one in-flight budget vector (request count
+   ``queue_limit``, predicted ``work_budget`` seconds and ``power_cap``
+   watts); beyond it requests are *refused* with an ``overloaded``
+   reply instead of buffered without bound, so latency stays bounded
+   and clients get an explicit backpressure signal.
 2. **Response cache** — TTL+LRU keyed on the canonicalised request
    body (:mod:`repro._canon`, shared with the experiment runner).
 3. **Micro-batching** — concurrent scalar ``eval`` requests coalesce
@@ -39,13 +40,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
+from operator import add, le
 from typing import Any, Callable
 
 from repro.exceptions import ReproError, ServiceError
 from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import TTLCache
-from repro.service.costmodel import CostEstimate, CostPredictor
+from repro.service.costmodel import CostPredictor
 from repro.service.engine import DEFAULT_PLAN_CACHE_SIZE, EvalEngine
 from repro.service.frontend import WireFrontend
 from repro.service.metrics import MetricsRegistry
@@ -64,6 +66,27 @@ from repro.service.workers import WorkerPool
 from repro.units import milliseconds, to_milliseconds
 
 __all__ = ["ServerConfig", "ModelServer"]
+
+#: Admission dimensions: requests in flight, predicted seconds of work,
+#: predicted watts.  A request's demand is ``(1, seconds, watts)``; the
+#: last two are zero when no cost predictor is active.
+_Demand = tuple[int, float, float]
+_COUNT, _WORK, _POWER = range(3)
+
+#: Refusal message per dimension: the held total, this request's
+#: demand, and the limit the two together would exceed.
+_REFUSALS = (
+    "admission queue full ({limit} in flight); retry with backoff",
+    "predicted work in flight ({held:.6g} s) plus this request "
+    "({demand:.6g} s) exceeds work_budget ({limit:.6g} s); "
+    "retry with backoff",
+    "predicted power in flight ({held:.6g} W) plus this request "
+    "({demand:.6g} W) exceeds power_cap ({limit:.6g} W); "
+    "shed at priority {priority}; retry with backoff",
+)
+
+#: :meth:`ModelServer._admit`'s verdict for a request that may wait.
+_PARK = object()
 
 
 @dataclass(frozen=True)
@@ -84,8 +107,8 @@ class ServerConfig:
         ``cache_size=0`` disables caching, ``cache_ttl=None`` never
         expires.
     queue_limit:
-        Maximum simultaneously admitted requests; excess get
-        ``overloaded`` replies.
+        Maximum simultaneously admitted requests, in either admission
+        mode; excess get ``overloaded`` replies at once.
     default_timeout:
         Default per-request deadline in seconds (``None`` = no
         deadline); a request's ``timeout_ms`` field overrides it.
@@ -116,12 +139,12 @@ class ServerConfig:
         worker); ``0`` disables plan caching.
     admission:
         ``"depth"`` (default) admits by in-flight request *count*
-        against ``queue_limit``; ``"cost"`` admits by predicted
+        against ``queue_limit`` alone; ``"cost"`` also bounds predicted
         in-flight *work* — the sum of
         :class:`~repro.service.costmodel.CostPredictor` service-time
-        estimates — against ``work_budget``.  Both refuse with the
-        same retriable ``overloaded`` envelope, so router failover
-        composes unchanged.
+        estimates — by ``work_budget``.  Both refuse with the same
+        retriable ``overloaded`` envelope, so router failover composes
+        unchanged.
     work_budget:
         Seconds of predicted work allowed in flight under cost
         admission (strict SI; required when ``admission="cost"``).
@@ -135,9 +158,9 @@ class ServerConfig:
         to free before being shed.  Composes with either admission
         mode.
     admission_wait:
-        Seconds a cost-refused or throttled request may wait for
-        budget/cap headroom before the refusal is final; ``0``
-        (default) refuses immediately.
+        Seconds a request over ``work_budget`` (or, at priority > 0,
+        ``power_cap``) may wait for headroom before the refusal is
+        final; ``0`` (default) refuses immediately.
     deadline_batching:
         When true (and a cost predictor is active), the micro-batcher
         sizes batches against each request's deadline: a batch closes
@@ -237,7 +260,6 @@ class ModelServer(WireFrontend):
             execute=self._pool_eval_batch if self.pool is not None else None,
             cost=self.cost,
         )
-        self._inflight = 0
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -248,33 +270,31 @@ class ModelServer(WireFrontend):
         self._deadline_total = self.metrics.counter("deadline_exceeded_total")
         self._cache_hits = self.metrics.counter("cache_hits_total")
         self._latency_ms = self.metrics.histogram("request_latency_ms")
-        self._queue_depth = self.metrics.gauge("queue_depth")
-        # Cost-loop state: predicted work/power of admitted requests,
-        # instruments created only when a predictor is active so plain
-        # depth-admission servers keep their exact stats surface.
-        self._work_inflight = 0.0
-        self._power_inflight = 0.0
+        # Admission state (see _admit).  Cost-loop instruments are
+        # registered only when a predictor is active, so plain
+        # depth-admission servers keep their exact stats surface;
+        # without one they live in a detached registry nobody reads.
+        cost_admission = self.config.admission == "cost"
+        self._limits: _Demand = (
+            self.config.queue_limit,
+            self.config.work_budget if cost_admission else float("inf"),
+            self.config.power_cap or float("inf"),
+        )
+        self._held: _Demand = (0, 0.0, 0.0)
         self._power_hwm = 0.0
         self._admission_waiters: list[asyncio.Future] = []
-        if self.cost is not None:
-            self._admission_accepted = self.metrics.counter(
-                "admission_accepted_total"
-            )
-            self._admission_queued = self.metrics.counter(
-                "admission_queued_total"
-            )
-            self._admission_rejected = self.metrics.counter(
-                "admission_rejected_total"
-            )
-            self._admission_shed = self.metrics.counter(
-                "admission_shed_total"
-            )
-            self._throttle_delayed = self.metrics.counter(
-                "throttle_delayed_total"
-            )
-            self._work_gauge = self.metrics.gauge("predicted_work_s")
-            self._power_gauge = self.metrics.gauge("predicted_power_w")
-            self._service_ewma = self.metrics.ewma("predicted_service_s")
+        reg = self.metrics if self.cost is not None else MetricsRegistry()
+        self._admission_accepted = reg.counter("admission_accepted_total")
+        self._admission_queued = reg.counter("admission_queued_total")
+        self._admission_rejected = reg.counter("admission_rejected_total")
+        self._admission_shed = reg.counter("admission_shed_total")
+        self._throttle_delayed = reg.counter("throttle_delayed_total")
+        self._held_gauges = (
+            self.metrics.gauge("queue_depth"),
+            reg.gauge("predicted_work_s"),
+            reg.gauge("predicted_power_w"),
+        )
+        self._service_ewma = reg.ewma("predicted_service_s")
         self.autoscaler: AutoScaler | None = None
         if self.config.autoscale_max > 0 and self.pool is not None:
             self.autoscaler = AutoScaler(
@@ -342,31 +362,14 @@ class ModelServer(WireFrontend):
                 BAD_REQUEST,
                 f"priority must be an integer, got {priority!r}",
             )
-        estimate: CostEstimate | None = (
-            self.cost.estimate_request(request)
-            if self.cost is not None
-            else None
-        )
-        if self.config.admission == "cost":
-            refusal = await self._admit_cost(request_id, estimate)
-        else:
-            refusal = self._admit_depth(request_id)
-        if refusal is None and self.config.power_cap is not None:
-            refusal = await self._admit_power(request_id, priority, estimate)
+        est = self.cost and self.cost.estimate_request(request)
+        demand = (1, est.seconds, est.watts) if est else (1, 0.0, 0.0)
+        refusal = self._admit(request_id, priority, demand)
+        if refusal is _PARK:
+            await self._await_admission(demand)
+            refusal = self._admit(request_id, priority, demand, parked=True)
         if refusal is not None:
             return refusal
-        self._inflight += 1
-        if self._inflight == 1:
-            self._idle.clear()
-        self._queue_depth.set(self._inflight)
-        if estimate is not None:
-            self._work_inflight += estimate.seconds
-            self._power_inflight += estimate.watts
-            if self._power_inflight > self._power_hwm:
-                self._power_hwm = self._power_inflight
-            self._work_gauge.set(self._work_inflight)
-            self._power_gauge.set(self._power_inflight)
-            self._service_ewma.update(estimate.seconds)
         started = time.perf_counter()
         status = "ok"
         cached = False
@@ -383,9 +386,7 @@ class ModelServer(WireFrontend):
             timeout = self._deadline(request)
             batch_deadline = (
                 asyncio.get_running_loop().time() + timeout
-                if timeout is not None
-                and self.config.deadline_batching
-                and self.cost is not None
+                if timeout is not None and self.config.deadline_batching
                 else None
             )
             dispatched = time.perf_counter()
@@ -448,23 +449,18 @@ class ModelServer(WireFrontend):
             )
         finally:
             elapsed_ms = to_milliseconds(time.perf_counter() - started)
-            self._inflight -= 1
-            if self._inflight == 0:
+            # Subtract, clamped at zero: float summation drift must
+            # never wedge the budget open or shut.
+            count, work, watts = self._held
+            self._held = held = (
+                count - demand[0],
+                work - demand[1] if work > demand[1] else 0.0,
+                watts - demand[2] if watts > demand[2] else 0.0,
+            )
+            if not held[0]:
                 self._idle.set()
-            self._queue_depth.set(self._inflight)
-            if estimate is not None:
-                # Clamp at zero: float summation drift must never
-                # wedge the budget open or shut.
-                self._work_inflight = max(
-                    0.0, self._work_inflight - estimate.seconds
-                )
-                self._power_inflight = max(
-                    0.0, self._power_inflight - estimate.watts
-                )
-                self._work_gauge.set(self._work_inflight)
-                self._power_gauge.set(self._power_inflight)
-                if self._admission_waiters:
-                    self._notify_admission()
+            if self._admission_waiters:
+                self._notify_admission()
             self._requests_total.inc()
             self._latency_ms.observe(elapsed_ms)
             log = self.config.access_log
@@ -480,114 +476,103 @@ class ModelServer(WireFrontend):
                 )
 
     # ------------------------------------------------------------------
-    # Admission (depth, cost, power cap)
+    # Admission: one (count, seconds, watts) budget vector
     # ------------------------------------------------------------------
 
-    def _admit_depth(self, request_id: Any) -> dict[str, Any] | None:
-        """Count-based admission: the original queue-depth limit."""
-        if self._inflight >= self.config.queue_limit:
-            self._overloaded_total.inc()
-            return error_response(
-                request_id,
-                OVERLOADED,
-                f"admission queue full ({self.config.queue_limit} in flight); "
-                "retry with backoff",
-                retriable=True,
-            )
-        return None
+    def _admit(
+        self,
+        request_id: Any,
+        priority: int,
+        demand: _Demand,
+        *,
+        parked: bool = False,
+    ) -> Any:
+        """Hold ``demand`` if the whole vector fits, else park or refuse.
 
-    async def _admit_cost(
-        self, request_id: Any, estimate: CostEstimate | None
-    ) -> dict[str, Any] | None:
-        """Work-based admission: predicted in-flight seconds vs budget.
+        Limits are inclusive: a total landing exactly on its limit is
+        admitted.  Returns ``None`` once the demand is held, :data:`_PARK`
+        when the request may wait (the caller awaits
+        :meth:`_await_admission`, then asks again with ``parked=True``),
+        else the retriable ``overloaded`` envelope naming the first
+        limit exceeded.
 
-        A request landing the total exactly on the budget is admitted
-        (the budget is inclusive); a zero budget therefore rejects any
-        request with positive predicted cost.  With ``admission_wait``
-        configured the request may briefly queue for budget to free.
+        The wait rule: a work-budget refusal may park, a power refusal
+        may park only at priority > 0, a full queue never parks; and
+        parking needs ``admission_wait > 0`` and a demand that fits
+        every limit on its own.
         """
-        budget = self.config.work_budget
-        cost = estimate.seconds if estimate is not None else 0.0
-        if self._work_inflight + cost <= budget:
+        held, limits = self._held, self._limits
+        want = (held[0] + demand[0], held[1] + demand[1], held[2] + demand[2])
+        if (
+            want[0] <= limits[0]
+            and want[1] <= limits[1]
+            and want[2] <= limits[2]
+            and not self._draining
+        ):
+            self._held = want
+            if want[0] == 1:
+                self._idle.clear()
+            if want[2] > self._power_hwm:
+                self._power_hwm = want[2]
+            self._service_ewma.update(demand[1])
             self._admission_accepted.inc()
             return None
-        if self.config.admission_wait > 0:
-            self._admission_queued.inc()
-            admitted = await self._await_admission(
-                lambda: self._work_inflight + cost <= budget
+        over = [dim for dim in range(3) if want[dim] > limits[dim]]
+        if not over:  # parked, fits, but the server started draining
+            return error_response(
+                request_id, SHUTTING_DOWN, "server is draining",
+                retriable=True,
             )
-            if admitted:
-                self._admission_accepted.inc()
-                return None
-        self._admission_rejected.inc()
+        if (
+            not parked
+            and self.config.admission_wait > 0
+            and _COUNT not in over
+            and (priority > 0 or _POWER not in over)
+            and all(map(le, demand, limits))
+        ):
+            if _WORK in over:
+                self._admission_queued.inc()
+            if _POWER in over:
+                self._throttle_delayed.inc()
+            return _PARK
+        dim = over[0]
         self._overloaded_total.inc()
-        return error_response(
-            request_id,
-            OVERLOADED,
-            f"predicted work in flight ({self._work_inflight:.6g} s) plus "
-            f"this request ({cost:.6g} s) exceeds work_budget "
-            f"({budget:.6g} s); retry with backoff",
-            retriable=True,
+        if dim == _WORK:
+            self._admission_rejected.inc()
+        elif dim == _POWER:
+            self._admission_shed.inc()
+        reason = _REFUSALS[dim].format(
+            held=held[dim],
+            demand=demand[dim],
+            limit=limits[dim],
+            priority=priority,
         )
+        return error_response(request_id, OVERLOADED, reason, retriable=True)
 
-    async def _admit_power(
-        self, request_id: Any, priority: int, estimate: CostEstimate | None
-    ) -> dict[str, Any] | None:
-        """Power-cap throttle: aggregate predicted watts vs the cap.
+    async def _await_admission(self, demand: _Demand) -> None:
+        """Wait up to ``admission_wait`` for the whole ``demand`` to fit.
 
-        The serving analogue of the paper's §V-B cap: when admitting a
-        request would push aggregate predicted power over the cap,
-        priority <= 0 work is shed immediately; higher priorities may
-        wait up to ``admission_wait`` for power to free before being
-        shed.  Sheds reuse the retriable ``overloaded`` envelope.
-        """
-        cap = self.config.power_cap
-        watts = estimate.watts if estimate is not None else 0.0
-        if self._power_inflight + watts <= cap:
-            return None
-        if priority > 0 and self.config.admission_wait > 0:
-            self._throttle_delayed.inc()
-            admitted = await self._await_admission(
-                lambda: self._power_inflight + watts <= cap
-            )
-            if admitted:
-                return None
-        self._admission_shed.inc()
-        self._overloaded_total.inc()
-        return error_response(
-            request_id,
-            OVERLOADED,
-            f"predicted power in flight ({self._power_inflight:.6g} W) plus "
-            f"this request ({watts:.6g} W) exceeds power_cap "
-            f"({cap:.6g} W); shed at priority {priority}; "
-            "retry with backoff",
-            retriable=True,
-        )
-
-    async def _await_admission(self, fits: Callable[[], bool]) -> bool:
-        """Wait up to ``admission_wait`` for ``fits()`` to hold.
-
-        Wakes on every admitted-work release (see ``handle_request``'s
-        ``finally``); returns False on timeout or drain.
+        Wakes on every release (see ``handle_request``'s ``finally``);
+        returns on fit, timeout or drain, and the caller's second
+        :meth:`_admit` decides which it was.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.admission_wait
-        while not self._draining:
-            if fits():
-                return True
+        while not self._draining and not all(
+            map(le, map(add, self._held, demand), self._limits)
+        ):
             remaining = deadline - loop.time()
             if remaining <= 0:
-                return False
+                return
             waiter: asyncio.Future = loop.create_future()
             self._admission_waiters.append(waiter)
             try:
                 await asyncio.wait_for(waiter, remaining)
             except (asyncio.TimeoutError, TimeoutError):
-                return fits() and not self._draining
+                return
             finally:
                 if waiter in self._admission_waiters:
                     self._admission_waiters.remove(waiter)
-        return False
 
     def _notify_admission(self) -> None:
         """Wake every queued admission waiter (work was released)."""
@@ -752,12 +737,15 @@ class ModelServer(WireFrontend):
 
     def stats(self) -> dict[str, Any]:
         """The ``stats`` payload: metrics, cache, batcher, queue state."""
+        # Gauges mirror the held vector: set here, not per request.
+        for gauge, level in zip(self._held_gauges, self._held):
+            gauge.set(level)
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.stats()
         # In-loop engine counters; with workers each worker process has
         # its own engine (and plan cache), not aggregated here.
         snapshot["plan_cache"] = self.engine.plan_cache_stats()
-        snapshot["inflight"] = self._inflight
+        snapshot["inflight"] = self._held[0]
         snapshot["pending_batched"] = self.batcher.pending_requests
         snapshot["engine_batch_calls"] = self.engine.batch_calls
         snapshot["draining"] = self._draining
@@ -781,8 +769,8 @@ class ModelServer(WireFrontend):
                 "work_budget": self.config.work_budget,
                 "power_cap": self.config.power_cap,
                 "admission_wait": self.config.admission_wait,
-                "predicted_work_s": self._work_inflight,
-                "predicted_power_w": self._power_inflight,
+                "predicted_work_s": self._held[1],
+                "predicted_power_w": self._held[2],
                 "predicted_power_hwm_w": self._power_hwm,
             }
         if self.pool is not None:

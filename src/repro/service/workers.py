@@ -69,9 +69,10 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import get_context
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.exceptions import ServiceError
+from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
     BAD_REQUEST,
     INTERNAL,
@@ -80,9 +81,6 @@ from repro.service.protocol import (
 )
 from repro.service.shmring import SLOT_SIZE, RingArena, RingError
 from repro.units import to_milliseconds
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.metrics import MetricsRegistry
 
 __all__ = [
     "WorkerPool",
@@ -386,9 +384,9 @@ class WorkerPool:
         Forwarded to each worker's :class:`EvalEngine`; ``None`` keeps
         the engine default.
     metrics:
-        Optional registry; the pool records per-shard queue depth
-        gauges, job/crash counters, job/IPC-overhead timers, and ring
-        job/fallback counters.
+        Registry for per-shard queue depth gauges, job/crash counters,
+        job/IPC-overhead timers, and ring job/fallback counters; a
+        private one when omitted.
     """
 
     def __init__(
@@ -398,7 +396,7 @@ class WorkerPool:
         shard_by: str = "machine",
         queue_limit: int = 256,
         plan_cache_size: int | None = None,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -419,38 +417,22 @@ class WorkerPool:
         self._ctx = get_context("spawn")
         self._closing = False
         self._started = time.perf_counter()
-        self._metrics = metrics
+        self._metrics = metrics = metrics or MetricsRegistry()
         self.scale_ups = 0
         self.scale_downs = 0
         self._shards = [_Shard(i) for i in range(workers)]
         for shard in self._shards:
             self._spawn(shard)
-        self._jobs_total = (
-            metrics.counter("worker_jobs_total") if metrics else None
-        )
-        self._crashes_total = (
-            metrics.counter("worker_crashes_total") if metrics else None
-        )
-        self._rejected_total = (
-            metrics.counter("worker_rejected_total") if metrics else None
-        )
-        self._job_ms = (
-            metrics.histogram("worker_job_ms") if metrics else None
-        )
-        self._ipc_ms = (
-            metrics.histogram("worker_ipc_overhead_ms") if metrics else None
-        )
-        self._depth_gauges = (
-            [metrics.gauge(f"worker_queue_depth_{i}") for i in range(workers)]
-            if metrics
-            else None
-        )
-        self._ring_jobs_total = (
-            metrics.counter("ring_jobs_total") if metrics else None
-        )
-        self._ring_fallbacks_total = (
-            metrics.counter("ring_fallbacks_total") if metrics else None
-        )
+        self._jobs_total = metrics.counter("worker_jobs_total")
+        self._crashes_total = metrics.counter("worker_crashes_total")
+        self._rejected_total = metrics.counter("worker_rejected_total")
+        self._job_ms = metrics.histogram("worker_job_ms")
+        self._ipc_ms = metrics.histogram("worker_ipc_overhead_ms")
+        self._depth_gauges = [
+            metrics.gauge(f"worker_queue_depth_{i}") for i in range(workers)
+        ]
+        self._ring_jobs_total = metrics.counter("ring_jobs_total")
+        self._ring_fallbacks_total = metrics.counter("ring_fallbacks_total")
 
     # ------------------------------------------------------------------
     # Process lifecycle (always on the shard's executor thread, except
@@ -567,8 +549,7 @@ class WorkerPool:
             raise ServiceError(INTERNAL, "worker pool is closed")
         shard = self._shards[_stable_shard(key, self.workers)]
         if shard.inflight >= self.queue_limit:
-            if self._rejected_total is not None:
-                self._rejected_total.inc()
+            self._rejected_total.inc()
             raise ServiceError(
                 OVERLOADED,
                 f"worker shard {shard.index} queue full "
@@ -577,8 +558,7 @@ class WorkerPool:
             )
         loop = asyncio.get_running_loop()
         shard.inflight += 1
-        if self._depth_gauges is not None:
-            self._depth_gauges[shard.index].set(shard.inflight)
+        self._depth_gauges[shard.index].set(shard.inflight)
         submitted = time.perf_counter()
         try:
             result, compute, ringed = await loop.run_in_executor(
@@ -587,29 +567,23 @@ class WorkerPool:
         except WorkerCrashError:
             # Counted here, on the loop, so the metrics registry is
             # only ever touched from the event-loop thread.
-            if self._crashes_total is not None:
-                self._crashes_total.inc()
+            self._crashes_total.inc()
             raise
         finally:
             shard.inflight -= 1
-            if self._depth_gauges is not None:
-                self._depth_gauges[shard.index].set(shard.inflight)
+            self._depth_gauges[shard.index].set(shard.inflight)
         elapsed = time.perf_counter() - submitted
         shard.jobs_total += 1
         shard.busy_seconds += compute
-        if self._jobs_total is not None:
-            self._jobs_total.inc()
-        if self._job_ms is not None:
-            self._job_ms.observe(to_milliseconds(elapsed))
-        if self._ipc_ms is not None:
-            # Queue wait + pickling + pipe/shm transfer: everything the
-            # job cost beyond the worker's own compute time.
-            self._ipc_ms.observe(to_milliseconds(max(0.0, elapsed - compute)))
-        if self._ring_jobs_total is not None:
-            if ringed:
-                self._ring_jobs_total.inc()
-            else:
-                self._ring_fallbacks_total.inc()
+        self._jobs_total.inc()
+        self._job_ms.observe(to_milliseconds(elapsed))
+        # Queue wait + pickling + pipe/shm transfer: everything the job
+        # cost beyond the worker's own compute time.
+        self._ipc_ms.observe(to_milliseconds(max(0.0, elapsed - compute)))
+        if ringed:
+            self._ring_jobs_total.inc()
+        else:
+            self._ring_fallbacks_total.inc()
         if listify and kind == "op":
             fields = _ARRAY_RESULT_FIELDS.get(payload[0], (None, ()))[1]
             for field in fields:
@@ -706,13 +680,12 @@ class WorkerPool:
                     for s in fresh
                 )
             )
-            if self._depth_gauges is not None and self._metrics is not None:
-                while len(self._depth_gauges) < workers:
-                    self._depth_gauges.append(
-                        self._metrics.gauge(
-                            f"worker_queue_depth_{len(self._depth_gauges)}"
-                        )
+            while len(self._depth_gauges) < workers:
+                self._depth_gauges.append(
+                    self._metrics.gauge(
+                        f"worker_queue_depth_{len(self._depth_gauges)}"
                     )
+                )
             self._shards.extend(fresh)
             self.workers = workers
             self.scale_ups += 1

@@ -12,6 +12,10 @@ The load-bearing assertions:
   composes with no client change;
 * the power cap sheds priority <= 0 immediately and lets higher
   priorities wait for in-flight work to release;
+* count, work and power are one admission vector: ``queue_limit``
+  binds under cost admission too, a request whose own demand exceeds a
+  limit is refused without waiting, and when work and power both bind
+  only a priority > 0 request waits (for both);
 * deadline-aware batch sizing moves batch *boundaries*, never batch
   *values*: governed servers answer bit-identically to a plain server
   at ``workers`` 0 and 4.
@@ -429,3 +433,168 @@ class TestDeadlineBatchingIdentity:
         assert canonical_json(plain_values) == canonical_json(
             governed_values
         )
+
+
+class TestBudgetVector:
+    """One (count, seconds, watts) check: every limit binds in every mode."""
+
+    def test_queue_limit_holds_under_cost_admission(self):
+        async def scenario():
+            server = ModelServer(ServerConfig(
+                admission="cost", work_budget=60.0, queue_limit=1,
+                flush_window=0.01,
+            ))
+            try:
+                responses = await asyncio.gather(*(
+                    server.handle_request(eval_body(id=i, intensity=1.0 + i))
+                    for i in range(8)
+                ))
+                stats = server.stats()
+            finally:
+                await server.stop()
+            return responses, stats
+
+        responses, stats = run(scenario())
+        admitted = [r for r in responses if r["ok"]]
+        refused = [r for r in responses if not r["ok"]]
+        assert len(admitted) == 1 and len(refused) == 7
+        for response in refused:
+            assert response["error"]["code"] == OVERLOADED
+            assert response["error"]["retriable"] is True
+            assert response["error"]["message"].startswith(
+                "admission queue full (1 in flight)"
+            )
+        assert stats["counters"]["overloaded_total"] == 7
+        assert stats["inflight"] == 0
+
+    @staticmethod
+    def _lone_request(config: ServerConfig, body) -> tuple[dict, float, dict]:
+        async def scenario():
+            server = ModelServer(config)
+            loop = asyncio.get_running_loop()
+            try:
+                started = loop.time()
+                response = await server.handle_request(body)
+                elapsed = loop.time() - started
+                stats = server.stats()
+            finally:
+                await server.stop()
+            return response, elapsed, stats
+
+        return run(scenario())
+
+    def test_request_over_work_budget_alone_is_refused_at_once(self):
+        estimate = single_estimate(eval_body())
+        response, elapsed, stats = self._lone_request(
+            ServerConfig(
+                cache_size=0, flush_window=0.0, admission="cost",
+                work_budget=estimate.seconds / 2.0, admission_wait=5.0,
+            ),
+            eval_body(id=1),
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == OVERLOADED
+        assert "work_budget" in response["error"]["message"]
+        assert elapsed < 0.5
+        assert stats["counters"]["admission_queued_total"] == 0
+        assert stats["counters"]["throttle_delayed_total"] == 0
+        assert stats["counters"]["admission_rejected_total"] == 1
+
+    def test_priority_request_over_power_cap_alone_is_refused_at_once(self):
+        estimate = single_estimate(eval_body())
+        response, elapsed, stats = self._lone_request(
+            ServerConfig(
+                cache_size=0, flush_window=0.0,
+                power_cap=estimate.watts / 2.0, admission_wait=5.0,
+            ),
+            eval_body(id=1, priority=1),
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == OVERLOADED
+        assert "power_cap" in response["error"]["message"]
+        assert elapsed < 0.5
+        assert stats["counters"]["admission_queued_total"] == 0
+        assert stats["counters"]["throttle_delayed_total"] == 0
+        assert stats["counters"]["admission_shed_total"] == 1
+
+    @staticmethod
+    def _work_and_power_bind(priority: int):
+        """Two concurrent requests; the second exceeds budget *and* cap."""
+        estimate = single_estimate(eval_body())
+
+        async def scenario():
+            server = ModelServer(ServerConfig(
+                cache_size=0, flush_window=0.0,
+                admission="cost", work_budget=estimate.seconds,
+                power_cap=estimate.watts, admission_wait=5.0,
+            ))
+            loop = asyncio.get_running_loop()
+            try:
+                started = loop.time()
+                first, second = await asyncio.gather(
+                    server.handle_request(eval_body(id=1)),
+                    server.handle_request(eval_body(id=2, priority=priority)),
+                )
+                elapsed = loop.time() - started
+                stats = server.stats()
+            finally:
+                await server.stop()
+            return first, second, elapsed, stats
+
+        return run(scenario())
+
+    def test_work_and_power_both_bind_priority_zero_is_refused(self):
+        first, second, elapsed, stats = self._work_and_power_bind(0)
+        assert first["ok"] is True
+        assert second["ok"] is False
+        assert second["error"]["code"] == OVERLOADED
+        assert second["error"]["retriable"] is True
+        # The first limit exceeded names the refusal: work before power.
+        assert "work_budget" in second["error"]["message"]
+        assert elapsed < 0.5  # a power refusal at priority 0 never parks
+        counters = stats["counters"]
+        assert counters["admission_accepted_total"] == 1
+        assert counters["admission_rejected_total"] == 1
+        assert counters["admission_queued_total"] == 0
+        assert counters["throttle_delayed_total"] == 0
+
+    def test_work_and_power_both_bind_priority_one_waits_for_both(self):
+        first, second, _, stats = self._work_and_power_bind(1)
+        assert first["ok"] is True and second["ok"] is True
+        counters = stats["counters"]
+        assert counters["admission_accepted_total"] == 2
+        assert counters["admission_queued_total"] == 1
+        assert counters["throttle_delayed_total"] == 1
+        assert counters["admission_rejected_total"] == 0
+        assert counters["admission_shed_total"] == 0
+        admission = stats["admission"]
+        assert admission["predicted_work_s"] == pytest.approx(0.0)
+        assert admission["predicted_power_w"] == pytest.approx(0.0)
+        assert admission["predicted_power_hwm_w"] > 0
+
+    def test_drain_refuses_parked_request_at_once(self):
+        estimate = single_estimate(eval_body())
+
+        async def scenario():
+            server = ModelServer(ServerConfig(
+                cache_size=0, flush_window=0.2,
+                admission="cost", work_budget=estimate.seconds,
+                admission_wait=5.0,
+            ))
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            first = asyncio.ensure_future(
+                server.handle_request(eval_body(id=1))
+            )
+            second = asyncio.ensure_future(
+                server.handle_request(eval_body(id=2))
+            )
+            await asyncio.sleep(0.05)  # first batched, second parked
+            await server.stop()
+            return await first, await second, loop.time() - started
+
+        first, second, elapsed = run(scenario())
+        assert first["ok"] is True
+        assert second["ok"] is False
+        assert second["error"]["retriable"] is True
+        assert elapsed < 2.0
