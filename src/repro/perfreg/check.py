@@ -4,7 +4,9 @@ A *check* is a named, parameterised measurement with a lifecycle:
 
 * ``params`` — a mapping of parameter name to the tuple of values it
   takes; the registry expands the cartesian product into one *instance*
-  per combination (the ReFrame idiom).
+  per combination (the ReFrame idiom).  A ``None`` value leaves the
+  parameter out of that instance, so a check that gains a parameter
+  keeps its existing trajectory on the ``None`` point.
 * ``setup(ctx)`` / ``run(ctx)`` / ``teardown(ctx)`` — ``setup`` builds
   whatever state the measurement needs (geometry, request streams) and
   stashes it on ``ctx.state``; ``run`` performs **one repetition** and

@@ -88,12 +88,14 @@ class CheckInstance:
 
 
 def _expand_params(params: Mapping[str, tuple]) -> Iterable[dict[str, Any]]:
+    """One dict per point; a ``None`` value leaves its key out, so that
+    point has the id (and trajectory) of the check without the param."""
     if not params:
         yield {}
         return
     keys = sorted(params)
     for combo in itertools.product(*(params[k] for k in keys)):
-        yield dict(zip(keys, combo))
+        yield {k: v for k, v in zip(keys, combo) if v is not None}
 
 
 def expand_checks(

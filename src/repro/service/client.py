@@ -42,7 +42,13 @@ import numpy as np
 
 from repro.exceptions import ServiceError
 from repro.service import wire as wireformat
-from repro.service.protocol import INTERNAL, decode, encode, unwrap
+from repro.service.protocol import (
+    BACKEND_UNAVAILABLE,
+    INTERNAL,
+    decode,
+    encode,
+    unwrap,
+)
 from repro.service.wire import WIRE_BINARY, WIRE_NDJSON
 
 __all__ = [
@@ -352,10 +358,12 @@ class AsyncServiceClient(_RequestAPI):
                     break  # clean EOF between frames
                 raise
             kind, nsections, body_len, _seq = wireformat.parse_header(header)
-            body = await asyncio.wait_for(
-                self._reader.readexactly(body_len),
-                timeout=wireformat.FRAME_BODY_TIMEOUT,
-            )
+            # asyncio.timeout, not wait_for: on 3.11 wait_for wraps each
+            # read in a new Task, so only one buffered reply would settle
+            # per loop iteration and the callers' next requests would
+            # reach the server one per iteration — a batch of one each.
+            async with asyncio.timeout(wireformat.FRAME_BODY_TIMEOUT):
+                body = await self._reader.readexactly(body_len)
             self.bytes_received += len(header) + len(body)
             self._settle(wireformat.decode_body(kind, nsections, body))
 
@@ -374,6 +382,13 @@ class AsyncServiceClient(_RequestAPI):
         """Send one request; return the full response envelope."""
         if self._closed:
             raise ServiceError(INTERNAL, "client is closed")
+        if self._reader_task.done():
+            # The reader already failed everything pending; nothing
+            # would ever settle a reply registered now.  The request
+            # was never sent, so another connection may take it.
+            raise ServiceError(
+                BACKEND_UNAVAILABLE, "connection closed", retriable=True
+            )
         request_id = self._next_id
         self._next_id += 1
         request = {**request, "id": request_id}
@@ -386,8 +401,12 @@ class AsyncServiceClient(_RequestAPI):
         else:
             data = encode(request)
         self.bytes_sent += len(data)
-        self._writer.write(data)
-        await self._writer.drain()
+        try:
+            self._writer.write(data)
+            await self._writer.drain()
+        except BaseException:
+            self._pending.pop(request_id, None)
+            raise
         return await future
 
     async def _call_once(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -407,6 +426,7 @@ class AsyncServiceClient(_RequestAPI):
             await self._reader_task
         except (asyncio.CancelledError, Exception):
             pass
+        self._fail_pending("client is closed")
         self._writer.close()
         try:
             await self._writer.wait_closed()

@@ -7,8 +7,9 @@ replicated server instances.  Both must speak the *identical* wire
 surface: newline-delimited JSON by default, the struct-packed binary
 framing of :mod:`repro.service.wire` after a first-request ``hello``
 negotiation, per-request answer tasks so a slow request never
-head-of-line-blocks the connection, and one structured ``bad_frame``
-error before closing a corrupt framed stream.
+head-of-line-blocks the connection, one socket write per loop
+iteration for every reply that iteration produced, and one structured
+``bad_frame`` error before closing a corrupt framed stream.
 
 :class:`WireFrontend` is that surface, factored out once.  A subclass
 provides the request pipeline (:meth:`handle_request`) and the
@@ -42,6 +43,54 @@ from repro.service.protocol import (
 __all__ = ["WireFrontend", "sniff_hello"]
 
 
+class _Outbox:
+    """One connection's send path: a loop iteration's payloads, one write.
+
+    A micro-batch settles all of its callers in one loop iteration, so
+    their replies are queued here together and leave in one
+    ``writer.write`` scheduled with ``call_soon`` — a lone payload is
+    written as is, only two or more are joined.  Payloads leave in the
+    order they were sent, and each sender still awaits ``drain()`` for
+    backpressure (3.11's ``drain`` admits concurrent waiters), so no
+    per-connection write lock is needed.
+    """
+
+    __slots__ = ("_writer", "_queued")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._queued: list[bytes] = []
+
+    def flush(self) -> None:
+        """Write everything queued so far as one write."""
+        if not self._queued:
+            return
+        queued, self._queued = self._queued, []
+        try:
+            self._writer.write(
+                queued[0] if len(queued) == 1 else b"".join(queued)
+            )
+        except (ConnectionError, OSError):
+            pass  # peer went away; nothing to answer to
+
+    def close(self) -> None:
+        """Write what is queued, then hang up."""
+        self.flush()
+        self._writer.close()
+
+    async def send(self, payload: bytes) -> bool:
+        """Queue ``payload`` for this iteration's write; False once the
+        peer has gone away."""
+        self._queued.append(payload)
+        if len(self._queued) == 1:
+            asyncio.get_running_loop().call_soon(self.flush)
+        try:
+            await self._writer.drain()
+        except (ConnectionError, OSError):
+            return False
+        return True
+
+
 class WireFrontend:
     """TCP listener speaking NDJSON + negotiated binary framing.
 
@@ -70,7 +119,10 @@ class WireFrontend:
         self._bind_host = host
         self._bind_port = port
         self._tcp_server: asyncio.AbstractServer | None = None
+        #: Per-request answer tasks, across every connection.
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Open connections: handler task -> its send path.
+        self._connections: dict[asyncio.Task, _Outbox] = {}
         self._frontend_errors = metrics.counter("errors_total")
         # Pre-created so both framing counters exist (at zero) in every
         # stats payload, whichever framings connections actually used.
@@ -122,7 +174,8 @@ class WireFrontend:
     async def _close_listener(
         self, *, cancel_connections: bool = False
     ) -> None:
-        """Stop accepting, settle per-request tasks, release the port."""
+        """Stop accepting, settle per-request tasks, hang up every open
+        connection and wait for its handler, release the port."""
         if self._tcp_server is not None:
             self._tcp_server.close()
         if cancel_connections:
@@ -130,6 +183,10 @@ class WireFrontend:
                 task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        for outbox in self._connections.values():
+            outbox.close()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
         if self._tcp_server is not None:
             try:
                 await self._tcp_server.wait_closed()
@@ -151,7 +208,11 @@ class WireFrontend:
         framing; on acceptance the connection hands over to
         :meth:`_binary_loop` and never returns to NDJSON.
         """
-        write_lock = asyncio.Lock()
+        outbox = _Outbox(writer)
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = outbox
+        handler.add_done_callback(self._connections.pop)
         request_tasks: set[asyncio.Task] = set()
         self.metrics.counter("connections_total").inc()
         upgraded = False
@@ -170,18 +231,16 @@ class WireFrontend:
                     first = False
                     hello = sniff_hello(line)
                     if hello is not None:
-                        upgraded = await self._negotiate(
-                            hello, writer, write_lock
-                        )
+                        upgraded = await self._negotiate(hello, outbox)
                         if upgraded:
                             self._wire_binary_conns.inc()
                             await self._binary_loop(
-                                reader, writer, write_lock, request_tasks
+                                reader, outbox, request_tasks
                             )
                             break
                         continue
                 task = asyncio.ensure_future(
-                    self._answer_line(line, writer, write_lock)
+                    self._answer_line(line, outbox)
                 )
                 request_tasks.add(task)
                 self._conn_tasks.add(task)
@@ -192,7 +251,7 @@ class WireFrontend:
                 self._wire_ndjson_conns.inc()
             if request_tasks:
                 await asyncio.gather(*request_tasks, return_exceptions=True)
-            writer.close()
+            outbox.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
@@ -201,8 +260,7 @@ class WireFrontend:
     async def _negotiate(
         self,
         hello: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: _Outbox,
     ) -> bool:
         """Answer one ``hello`` (in NDJSON); returns whether the
         connection upgrades to binary framing."""
@@ -219,20 +277,13 @@ class WireFrontend:
             }
         else:
             result = {"wire": wireformat.WIRE_NDJSON}
-        payload = encode(ok_response(hello.get("id"), result))
-        async with write_lock:
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                return False
-        return accept
+        sent = await outbox.send(encode(ok_response(hello.get("id"), result)))
+        return sent and accept
 
     async def _binary_loop(
         self,
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: _Outbox,
         request_tasks: set[asyncio.Task],
     ) -> None:
         """Frame-at-a-time read loop for an upgraded connection.
@@ -247,9 +298,7 @@ class WireFrontend:
                 header = await reader.readexactly(wireformat.HEADER_SIZE)
             except asyncio.IncompleteReadError as exc:
                 if exc.partial:
-                    await self._frame_error(
-                        writer, write_lock, 0, "truncated frame header"
-                    )
+                    await self._frame_error(outbox, 0, "truncated frame header")
                 return
             except (ConnectionError, OSError):
                 return
@@ -268,21 +317,19 @@ class WireFrontend:
                     body = await reader.readexactly(body_len)
                 request = wireformat.decode_body(kind, nsections, body)
             except ServiceError as exc:
-                await self._frame_error(writer, write_lock, seq, exc.message)
+                await self._frame_error(outbox, seq, exc.message)
                 return
             except (
                 asyncio.IncompleteReadError,
                 asyncio.TimeoutError,
                 TimeoutError,
             ):
-                await self._frame_error(
-                    writer, write_lock, seq, "truncated frame body"
-                )
+                await self._frame_error(outbox, seq, "truncated frame body")
                 return
             except (ConnectionError, OSError):
                 return
             task = asyncio.ensure_future(
-                self._answer_frame(request, writer, write_lock)
+                self._answer_frame(request, outbox)
             )
             request_tasks.add(task)
             self._conn_tasks.add(task)
@@ -290,49 +337,25 @@ class WireFrontend:
             task.add_done_callback(self._conn_tasks.discard)
 
     async def _frame_error(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        seq: int,
-        message: str,
+        self, outbox: _Outbox, seq: int, message: str
     ) -> None:
         self._frontend_errors.inc()
         envelope = error_response(None, wireformat.BAD_FRAME, message)
-        payload = wireformat.encode_frame(
-            wireformat.KIND_RESPONSE, seq, envelope
+        await outbox.send(
+            wireformat.encode_frame(wireformat.KIND_RESPONSE, seq, envelope)
         )
-        async with write_lock:
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
 
-    async def _answer_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _answer_line(self, line: bytes, outbox: _Outbox) -> None:
         try:
             request = decode(line)
         except ServiceError as exc:
             response = error_response(None, exc.code, exc.message)
         else:
             response = await self.handle_request(request)
-        payload = encode(response)
-        async with write_lock:
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer went away; nothing to answer to
+        await outbox.send(encode(response))
 
     async def _answer_frame(
-        self,
-        request: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        self, request: dict[str, Any], outbox: _Outbox
     ) -> None:
         arrays: dict[str, Any] = {}
         response = await self.handle_request(request, arrays=arrays)
@@ -357,12 +380,7 @@ class WireFrontend:
                 seq,
                 error_response(request_id, exc.code, exc.message),
             )
-        async with write_lock:
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer went away; nothing to answer to
+        await outbox.send(payload)
 
 
 def sniff_hello(line: bytes) -> dict[str, Any] | None:

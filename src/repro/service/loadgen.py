@@ -796,10 +796,10 @@ async def _topology(
                     f"target must look like HOST:PORT, got {target!r}"
                 )
             try:
-                client = await asyncio.wait_for(
-                    AsyncServiceClient.connect(host, int(port), wire=wire),
-                    timeout=TARGET_CONNECT_TIMEOUT,
-                )
+                async with asyncio.timeout(TARGET_CONNECT_TIMEOUT):
+                    client = await AsyncServiceClient.connect(
+                        host, int(port), wire=wire
+                    )
             except asyncio.TimeoutError:
                 raise ConnectionError(
                     f"could not connect to target {target!r} within "

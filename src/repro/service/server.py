@@ -392,10 +392,16 @@ class ModelServer(WireFrontend):
             dispatched = time.perf_counter()
             if timeout is not None:
                 try:
-                    result = await asyncio.wait_for(
-                        self._dispatch(op, request, arrays, batch_deadline),
-                        timeout,
-                    )
+                    async with asyncio.timeout(timeout):
+                        # Yield once before the work starts, so every
+                        # arrival of this loop iteration is admitted or
+                        # refused against the demand held so far; in-loop
+                        # work that started at once would run and release
+                        # its demand before the next arrival is checked.
+                        await asyncio.sleep(0)
+                        result = await self._dispatch(
+                            op, request, arrays, batch_deadline
+                        )
                 except (asyncio.TimeoutError, TimeoutError):
                     self._deadline_total.inc()
                     status = DEADLINE_EXCEEDED
@@ -789,8 +795,8 @@ class ModelServer(WireFrontend):
         Order matters: refuse new work, flush queued batches so their
         waiters complete, then wait (bounded by ``timeout``) for every
         admitted request to finish — including jobs in flight on the
-        worker pool — and only then shut the workers down and tear the
-        listener down.
+        worker pool — then hang up every connection and release the
+        listener, and only then shut the workers down.
         """
         self._draining = True
         self._notify_admission()  # queued admissions must fail fast now
@@ -801,22 +807,13 @@ class ModelServer(WireFrontend):
         if drain:
             await self.batcher.drain()
             try:
-                await asyncio.wait_for(self._idle.wait(), timeout)
+                async with asyncio.timeout(timeout):
+                    await self._idle.wait()
             except (asyncio.TimeoutError, TimeoutError):
                 pass
-        for task in list(self._conn_tasks):
-            if not drain:
-                task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_listener(cancel_connections=not drain)
         if self.pool is not None:
             await self.pool.close(force=not drain, timeout=timeout)
-        if self._tcp_server is not None:
-            try:
-                await self._tcp_server.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._tcp_server = None
 
 
 def _validate_config(config: ServerConfig) -> None:

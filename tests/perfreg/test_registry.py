@@ -60,6 +60,18 @@ class TestExpansion:
             {"mode": "fast", "workers": 4},
         ]
 
+    def test_none_point_keeps_the_bare_instance(self):
+        class GrownCheck(PlainCheck):
+            name = "synthetic.grown"
+            params = {"wire": (None, "binary")}
+
+        instances = expand_checks(registry={GrownCheck.name: GrownCheck})
+        assert [inst.instance_id for inst in instances] == [
+            "synthetic.grown",
+            "synthetic.grown[wire=binary]",
+        ]
+        assert [inst.params for inst in instances] == [{}, {"wire": "binary"}]
+
     def test_empty_patterns_select_everything(self):
         assert len(expand_checks([], registry=REGISTRY)) == 3
         assert len(expand_checks(None, registry=REGISTRY)) == 3
@@ -145,6 +157,16 @@ class TestProductionRegistry:
             "service.micro_batching",
             "service.worker_pool",
         } <= names
+
+    def test_micro_batching_tracks_the_socket_path(self):
+        ids = [
+            inst.instance_id
+            for inst in expand_checks(["service.micro_batching"])
+        ]
+        assert ids == [
+            "service.micro_batching",
+            "service.micro_batching[wire=binary]",
+        ]
 
     def test_shipped_checks_validate(self):
         for cls in all_checks().values():

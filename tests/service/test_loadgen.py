@@ -96,6 +96,30 @@ class TestBenchServing:
             bench_serving(requests=8, concurrency=0)
 
 
+class TestBatchingOverTheSocket:
+    """64 callers on one binary connection must still micro-batch.
+
+    A wave of replies settles its callers in one loop iteration only if
+    the client reads every buffered reply frame per wakeup and the
+    server sends each iteration's replies in one write; otherwise the
+    requests reach the server one per iteration and every flush sees a
+    batch of one.  The wave bound is 64 callers / 2 machine keys.
+    """
+
+    @pytest.mark.parametrize("router_backends", [0, 2])
+    def test_binary_wire_keeps_batches_full(self, router_backends):
+        report = bench_serving(
+            ServerConfig(flush_window=0.0, cache_size=0),
+            requests=2000,
+            concurrency=64,
+            wire="binary",
+            router_backends=router_backends,
+        )
+        assert report.errors == 0
+        assert report.requests == 2000
+        assert report.mean_batch >= 8
+
+
 class TestBuildRequests:
     def test_scalar_stream_matches_original_generator(self):
         from repro.service.loadgen import build_requests, intensity_sequence

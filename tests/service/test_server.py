@@ -23,6 +23,7 @@ from repro.exceptions import ServiceError
 from repro.machines.catalog import get_machine
 from repro.service.client import AsyncServiceClient, InProcessClient, ServiceClient
 from repro.service.engine import EVAL_METRICS, MODELS
+from repro.service.protocol import decode, encode, ok_response
 from repro.service.server import ModelServer, ServerConfig
 
 MACHINES = ("gtx580-double", "i7-950-double")
@@ -388,6 +389,27 @@ class TestShutdown:
         assert refused["error"]["code"] == "shutting_down"
         assert ping["result"]["pong"] is True  # health checks still answer
 
+    def test_stop_hangs_up_tcp_connections(self):
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            client = await AsyncServiceClient.connect(host, port)
+            try:
+                assert await client.ping() is True
+                await server.stop()
+                handlers = [
+                    task for task in asyncio.all_tasks()
+                    if "_on_connection" in repr(task)
+                ]
+                with pytest.raises(ServiceError):
+                    async with asyncio.timeout(5.0):
+                        await client.ping()
+            finally:
+                await client.close()
+            return handlers
+
+        assert run(scenario()) == []
+
     def test_stop_drains_admitted_work(self):
         async def scenario():
             server = make_server(max_batch=1024, flush_window=60.0)
@@ -557,3 +579,63 @@ class TestTCPTransport:
         assert value == scalar_reference(MACHINES[0], "power", "power", 2.0)
         assert values[1] == value
         assert stats["counters"]["requests_total"] >= 2
+
+
+class TestClientAfterHangup:
+    """A backend that hangs up between two requests must fail the second
+    one promptly and retriably, not leave it waiting for a reply."""
+
+    def test_request_after_backend_hangup_fails_fast(self):
+        async def one_reply_then_hang_up(reader, writer):
+            request = decode(await reader.readline())
+            writer.write(encode(ok_response(request["id"], {"pong": True})))
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+
+        async def scenario():
+            listener = await asyncio.start_server(
+                one_reply_then_hang_up, "127.0.0.1", 0
+            )
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = await AsyncServiceClient.connect(host, port)
+            try:
+                first = await client.ping()
+                listener.close()
+                await listener.wait_closed()
+                async with asyncio.timeout(5.0):
+                    while not client._reader_task.done():
+                        await asyncio.sleep(0.01)
+                with pytest.raises(ServiceError) as excinfo:
+                    async with asyncio.timeout(5.0):
+                        await client.ping()
+            finally:
+                await client.close()
+            return first, excinfo.value, client._pending
+
+        first, error, pending = run(scenario())
+        assert first is True
+        assert (error.code, error.retriable) == ("backend_unavailable", True)
+        assert pending == {}
+
+    def test_close_fails_requests_still_waiting(self):
+        async def never_replies(reader, writer):
+            await reader.read()
+            writer.close()
+
+        async def scenario():
+            listener = await asyncio.start_server(
+                never_replies, "127.0.0.1", 0
+            )
+            host, port = listener.sockets[0].getsockname()[:2]
+            client = await AsyncServiceClient.connect(host, port)
+            waiting = asyncio.ensure_future(client.ping())
+            await asyncio.sleep(0.05)
+            await client.close()
+            with pytest.raises(ServiceError):
+                async with asyncio.timeout(5.0):
+                    await waiting
+            listener.close()
+            await listener.wait_closed()
+
+        run(scenario())
