@@ -388,12 +388,14 @@ def measure_router_path(
     requests: int = 600,
     backends: int = 2,
     replication: int = 2,
+    wire: str = "binary",
+    workload: str = "scalar",
     repeats: int = 1,
 ) -> dict[str, Any]:
     """Scale-out router over local backends vs one direct server.
 
-    Both runs drive the identical scalar workload over real loopback
-    TCP with binary framing.  The routed run inserts a
+    Both runs drive the identical ``workload`` over real loopback TCP
+    with ``wire`` framing (on both router hops).  The routed run inserts a
     :class:`~repro.service.router.RouterServer` (consistent-hash ring
     over ``backends`` local servers at the given replication factor)
     between the client and the engines; the direct run talks to a
@@ -405,14 +407,16 @@ def measure_router_path(
     """
     routed = measure_serving(
         requests=requests,
-        wire="binary",
+        workload=workload,
+        wire=wire,
         router_backends=backends,
         replication=replication,
         repeats=repeats,
     )
     direct = measure_serving(
         requests=requests,
-        wire="binary",
+        workload=workload,
+        wire=wire,
         repeats=repeats,
     )
     if not (routed.bytes_sent and direct.bytes_sent):
@@ -719,9 +723,15 @@ class RouterCheck(_ServingCheck):
     cancels whatever speed the container happens to have that minute.
     Absolute req/s and ms swing ±30% run to run here and would flake
     any fixed regression band; the benchmark prints them instead.
+
+    The binary scalar point (``wire=None``) keeps the check's original
+    instance id; ``wire=ndjson`` runs the mixed workload with NDJSON on
+    both hops, where the router forwards the backends' encoded result
+    bytes instead of decoding and re-encoding large replies.
     """
 
     name = "service.router"
+    params = {"wire": (None, "ndjson")}
     requests = 600
     metrics = (
         Metric("p50_overhead", "x", LOWER_IS_BETTER),
@@ -729,7 +739,12 @@ class RouterCheck(_ServingCheck):
     )
 
     def run(self, ctx: CheckContext) -> Mapping[str, float]:
-        values = measure_router_path(requests=self.requests)
+        wire = ctx.params.get("wire")
+        values = measure_router_path(
+            requests=self.requests,
+            wire=wire or "binary",
+            workload="mixed" if wire else "scalar",
+        )
         return {
             "p50_overhead": values["p50_overhead"],
             "throughput_ratio": values["throughput_ratio"],

@@ -34,6 +34,7 @@ canonical payloads.  ``client.wire`` reports what was negotiated, and
 from __future__ import annotations
 
 import asyncio
+import functools
 import socket
 import time
 from typing import Any, Awaitable, Callable
@@ -46,6 +47,8 @@ from repro.service.protocol import (
     BACKEND_UNAVAILABLE,
     INTERNAL,
     decode,
+    decode_reply,
+    decoded,
     encode,
     unwrap,
 )
@@ -347,7 +350,7 @@ class AsyncServiceClient(_RequestAPI):
             if not line:
                 break
             self.bytes_received += len(line)
-            self._settle(decode(line))
+            self._settle(decode_reply(line))
 
     async def _read_frames(self) -> None:
         while True:
@@ -380,6 +383,14 @@ class AsyncServiceClient(_RequestAPI):
 
     async def request(self, request: dict[str, Any]) -> dict[str, Any]:
         """Send one request; return the full response envelope."""
+        return decoded(await self.request_encoded(request))
+
+    async def request_encoded(
+        self, request: dict[str, Any]
+    ) -> dict[str, Any]:
+        """:meth:`request`, but an NDJSON success result stays a
+        :class:`~repro.service.protocol.RawJSON` — the router's variant,
+        which forwards the bytes instead of decoding them."""
         if self._closed:
             raise ServiceError(INTERNAL, "client is closed")
         if self._reader_task.done():
@@ -410,7 +421,7 @@ class AsyncServiceClient(_RequestAPI):
         return await future
 
     async def _call_once(self, request: dict[str, Any]) -> dict[str, Any]:
-        return unwrap(await self.request(request))
+        return unwrap(await self.request_encoded(request))
 
     async def call(self, request: dict[str, Any]) -> dict[str, Any]:
         if self._retry is None:
@@ -443,8 +454,10 @@ class AsyncServiceClient(_RequestAPI):
 class ServiceClient:
     """Blocking TCP client: one request at a time over one socket.
 
-    Mirrors the async surface with synchronous methods.  Not
-    thread-safe — use one instance per thread, or the async client.
+    Mirrors the async surface with synchronous methods: its request
+    verbs are :class:`_RequestAPI`'s, run to completion over a blocking
+    :meth:`call`.  Not thread-safe — use one instance per thread, or
+    the async client.
     Pass ``wire="binary"`` to negotiate binary framing; the client
     falls back to NDJSON against servers that refuse or predate it
     (``client.wire`` reports the outcome).
@@ -521,73 +534,6 @@ class ServiceClient:
             return self._call_once(request)
         return self._retry.run_sync(lambda: self._call_once(request))
 
-    def eval(
-        self,
-        machine: str,
-        metric: str,
-        *,
-        model: str = "time",
-        intensity: float | None = None,
-        intensities: list[float] | None = None,
-        timeout_ms: float | None = None,
-    ) -> float | list[float]:
-        request: dict[str, Any] = {
-            "op": "eval",
-            "machine": machine,
-            "model": model,
-            "metric": metric,
-        }
-        if (intensity is None) == (intensities is None):
-            raise ValueError("provide exactly one of intensity / intensities")
-        if intensity is not None:
-            request["intensity"] = intensity
-        else:
-            request["intensities"] = list(intensities)  # type: ignore[arg-type]
-        if timeout_ms is not None:
-            request["timeout_ms"] = timeout_ms
-        result = self.call(request)
-        return result["value"] if intensity is not None else result["values"]
-
-    def curve(self, machine: str, kind: str, **params: Any) -> dict[str, Any]:
-        return self.call(
-            {"op": "curve", "machine": machine, "kind": kind, **params}
-        )
-
-    def balance(self, machine: str) -> dict[str, Any]:
-        return self.call({"op": "balance", "machine": machine})
-
-    def tradeoff(
-        self, machine: str, *, intensity: float, f: float, m: float
-    ) -> dict[str, Any]:
-        return self.call(
-            {
-                "op": "tradeoff",
-                "machine": machine,
-                "intensity": intensity,
-                "f": f,
-                "m": m,
-            }
-        )
-
-    def greenup(
-        self, machine: str, *, intensity: float, m: float
-    ) -> dict[str, Any]:
-        return self.call(
-            {"op": "greenup", "machine": machine, "intensity": intensity, "m": m}
-        )
-
-    def describe(self, machine: str) -> dict[str, Any]:
-        return self.call({"op": "describe", "machine": machine})
-
-    def machines(self) -> list[dict[str, str]]:
-        return self.call({"op": "machines"})["machines"]
-
-    def stats(self) -> dict[str, Any]:
-        return self.call({"op": "stats"})
-
-    def ping(self) -> bool:
-        return bool(self.call({"op": "ping"}).get("pong"))
-
     def close(self) -> None:
         try:
             self._file.close()
@@ -599,3 +545,43 @@ class ServiceClient:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class _BlockingCall:
+    """Answers an async verb's ``await self.call(...)`` with a blocking
+    client's ``call``, so the verb's coroutine never suspends."""
+
+    __slots__ = ("call_blocking",)
+
+    def __init__(self, client: ServiceClient):
+        self.call_blocking = client.call
+
+    async def call(self, request: dict[str, Any]) -> dict[str, Any]:
+        return self.call_blocking(request)
+
+
+def _blocking_verb(verb: Callable[..., Awaitable[Any]]) -> Callable[..., Any]:
+    """The blocking form of one of :class:`_RequestAPI`'s verbs: same
+    signature, request and return value, run to completion in place."""
+
+    @functools.wraps(verb)
+    def blocking(self: ServiceClient, *args: Any, **kwargs: Any) -> Any:
+        coro = verb(_BlockingCall(self), *args, **kwargs)
+        try:
+            coro.send(None)
+        except StopIteration as done:
+            return done.value
+        coro.close()
+        raise RuntimeError(f"{verb.__name__} awaited something besides call")
+
+    blocking.__qualname__ = f"ServiceClient.{verb.__name__}"
+    return blocking
+
+
+#: The request verbs, declared once on :class:`_RequestAPI`.
+_VERBS = (
+    "eval", "curve", "balance", "tradeoff", "greenup", "describe",
+    "machines", "stats", "ping",
+)
+for _name in _VERBS:
+    setattr(ServiceClient, _name, _blocking_verb(getattr(_RequestAPI, _name)))

@@ -97,9 +97,15 @@ class WireFrontend:
     Subclasses call :meth:`_init_frontend` during construction and
     implement::
 
-        async def handle_request(self, request, *, arrays=None) -> dict
+        async def handle_request(
+            self, request, *, arrays=None, encoded=False
+        ) -> dict
 
     which must never raise — every failure becomes an error envelope.
+    NDJSON connections pass ``encoded=True``: the pipeline may then
+    return a success ``result`` as an already-encoded
+    :class:`~repro.service.protocol.RawJSON`, which
+    :func:`~repro.service.protocol.encode` splices into the line.
     """
 
     def _init_frontend(
@@ -138,6 +144,7 @@ class WireFrontend:
         request: dict[str, Any],
         *,
         arrays: dict[str, Any] | None = None,
+        encoded: bool = False,
     ) -> dict[str, Any]:
         raise NotImplementedError
 
@@ -351,7 +358,7 @@ class WireFrontend:
         except ServiceError as exc:
             response = error_response(None, exc.code, exc.message)
         else:
-            response = await self.handle_request(request)
+            response = await self.handle_request(request, encoded=True)
         await outbox.send(encode(response))
 
     async def _answer_frame(

@@ -690,7 +690,8 @@ def bench_serving(
     drive it over loopback TCP with that framing, and the report adds
     the bytes on the wire.  ``router_backends=N`` puts N servers behind
     a :class:`~repro.service.router.RouterServer` with the given
-    ``replication`` and merges their statistics.  ``target="HOST:PORT"``
+    ``replication``, speaking ``wire`` on the backend hop too, and
+    merges their statistics.  ``target="HOST:PORT"``
     builds nothing and drives an external server or router: a
     ``config`` is then an error, engine/cache statistics read as zero,
     and an unreachable target fails within
@@ -783,7 +784,9 @@ async def _topology(
     directly), and ``servers`` are the local servers whose statistics
     the report merges — empty when ``target`` names an external
     server.  Starts backends, then the router (``router_backends >
-    0``), then the client; tears down in the reverse order.
+    0``, offering its backends the client's ``wire``, so an NDJSON
+    run is NDJSON on both hops), then the client; tears down in the
+    reverse order.
     """
     servers: list[ModelServer] = []
     router: RouterServer | None = None
@@ -821,7 +824,9 @@ async def _topology(
                 if router_backends:
                     router = RouterServer(
                         [f"{host}:{port}" for host, port in addresses],
-                        RouterConfig(replication=replication),
+                        RouterConfig(
+                            replication=replication, backend_wire=wire
+                        ),
                     )
                     address = await router.start()
                 client = await AsyncServiceClient.connect(*address, wire=wire)

@@ -89,8 +89,11 @@ __all__ = [
     "MAX_LINE_BYTES",
     "OPS",
     "RETRIABLE_CODES",
+    "RawJSON",
     "encode",
     "decode",
+    "decode_reply",
+    "decoded",
     "ok_response",
     "error_response",
     "unwrap",
@@ -162,8 +165,52 @@ MAX_LINE_BYTES = 1_048_576
 _NON_SEMANTIC_FIELDS = ("id", "timeout_ms", "priority")
 
 
+class RawJSON:
+    """A success ``result`` held as its compact JSON encoding.
+
+    ``data`` is exactly what :func:`encode` would write for the value:
+    ``json.dumps(value, separators=(",", ":"))`` in UTF-8.  An envelope
+    may carry one as its ``result``; :func:`encode` splices the bytes
+    into the line instead of re-encoding them, and :func:`unwrap`
+    decodes them on demand.  Only a hop that serialises the reply back
+    into NDJSON ever sees one — every API that hands results to callers
+    returns plain dicts.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    @classmethod
+    def of(cls, value: Any) -> "RawJSON":
+        """The encoding of ``value``."""
+        return cls(json.dumps(value, separators=(",", ":")).encode("utf-8"))
+
+    def value(self) -> Any:
+        """The decoded result; ``internal`` error if it is not JSON."""
+        try:
+            return json.loads(self.data)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ServiceError(INTERNAL, f"invalid result JSON: {exc}") from exc
+
+
 def encode(payload: dict[str, Any]) -> bytes:
-    """One protocol line: compact JSON plus the newline terminator."""
+    """One protocol line: compact JSON plus the newline terminator.
+
+    A :class:`RawJSON` result is spliced in as is; the line is
+    byte-identical to encoding the decoded envelope.
+    """
+    result = payload.get("result")
+    if type(result) is RawJSON:
+        fields = [
+            json.dumps(key).encode("utf-8") + b":" + (
+                result.data if key == "result"
+                else json.dumps(value, separators=(",", ":")).encode("utf-8")
+            )
+            for key, value in payload.items()
+        ]
+        return b"{" + b",".join(fields) + b"}\n"
     return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
@@ -186,6 +233,50 @@ def decode(line: bytes | str) -> dict[str, Any]:
             BAD_REQUEST, f"expected a JSON object, got {type(payload).__name__}"
         )
     return payload
+
+
+_OK_HEAD = b'{"ok":true,"result":'
+_ID_FIELD = b',"id":'
+_CACHED_TAIL = b',"cached":true}\n'
+
+
+def decode_reply(line: bytes) -> dict[str, Any]:
+    """Parse one response line, leaving a success result encoded.
+
+    A line shaped the way :func:`encode` writes an
+    :func:`ok_response` with an integer id —
+    ``{"ok":true,"result":{…},"id":7[,"cached":true]}`` — is split
+    around its result without parsing it: the envelope comes back with
+    a :class:`RawJSON` result.  Every other line (errors, string,
+    boolean, negative or missing ids, no trailing newline) goes through
+    :func:`decode`.  The result bytes are trusted to be the JSON a
+    server of this package wrote; nothing here validates them.
+    """
+    if (
+        line.startswith(_OK_HEAD)
+        and line.endswith(b"}\n")
+        and len(line) <= MAX_LINE_BYTES
+    ):
+        cached = line.endswith(_CACHED_TAIL)
+        end = len(line) - (len(_CACHED_TAIL) if cached else 2)
+        cut = line.rfind(_ID_FIELD, len(_OK_HEAD), end)
+        digits = line[cut + len(_ID_FIELD) : end]
+        if (
+            cut > len(_OK_HEAD)
+            and digits.isdigit()
+            and (digits[0] != 48 or len(digits) == 1)  # no leading zero
+            and line[len(_OK_HEAD)] == 123  # "{"
+            and line[cut - 1] == 125  # "}"
+        ):
+            response: dict[str, Any] = {
+                "ok": True,
+                "result": RawJSON(line[len(_OK_HEAD) : cut]),
+                "id": int(digits),
+            }
+            if cached:
+                response["cached"] = True
+            return response
+    return decode(line)
 
 
 def ok_response(
@@ -218,12 +309,22 @@ def error_response(
     return response
 
 
+def decoded(response: dict[str, Any]) -> dict[str, Any]:
+    """``response`` with a :class:`RawJSON` result decoded in place."""
+    result = response.get("result")
+    if type(result) is RawJSON:
+        response["result"] = result.value()
+    return response
+
+
 def unwrap(response: dict[str, Any]) -> dict[str, Any]:
     """Extract ``result`` from an envelope, raising on error replies."""
     if not isinstance(response, dict):
         raise ServiceError(INTERNAL, f"malformed response: {response!r}")
     if response.get("ok"):
         result = response.get("result")
+        if type(result) is RawJSON:
+            result = result.value()
         if not isinstance(result, dict):
             raise ServiceError(
                 INTERNAL, f"malformed success envelope: {response!r}"

@@ -16,7 +16,11 @@ on topology, replication factor, or which replica answered:
 * The router never rewrites a backend ``result`` — it re-wraps it in a
   fresh envelope via the same :func:`~repro.service.protocol.ok_response`
   / :func:`~repro.service.protocol.error_response` constructors the
-  server uses, substituting only the client's request id.
+  server uses, substituting only the client's request id.  On an
+  NDJSON backend hop the result arrives as the backend's own encoded
+  bytes (:class:`~repro.service.protocol.RawJSON`); an NDJSON client
+  gets those bytes spliced into its line, and only a binary or
+  in-process caller pays to decode them.
 * Failover retries are full re-sends of the original request; whichever
   replica finally answers produces the same canonical payload.
 
@@ -48,6 +52,8 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
     BACKEND_UNAVAILABLE,
     BAD_REQUEST,
+    RawJSON,
+    decoded,
     ok_response,
     error_response,
 )
@@ -196,12 +202,14 @@ class BackendHandle:
 
         Raises :class:`ServiceError` on transport failure (connect,
         send, or the connection dying before the reply) — *never* for
-        an error envelope, which is an answer, not a failure.
+        an error envelope, which is an answer, not a failure.  A
+        success result from an NDJSON backend stays encoded
+        (:class:`~repro.service.protocol.RawJSON`).
         """
         started = time.perf_counter()
         try:
             client = await self._ensure_client()
-            reply = await client.request(dict(request))
+            reply = await client.request_encoded(dict(request))
         except (
             ServiceError,
             ConnectionError,
@@ -369,6 +377,7 @@ class RouterServer(WireFrontend):
         request: dict[str, Any],
         *,
         arrays: dict[str, Any] | None = None,
+        encoded: bool = False,
     ) -> dict[str, Any]:
         """Answer one decoded request envelope (never raises).
 
@@ -376,6 +385,9 @@ class RouterServer(WireFrontend):
         filled: the router only holds decoded lists, and
         :func:`~repro.service.wire.encode_frame` lifts those into raw
         sections on binary connections — byte-identical either way.
+        ``encoded=True`` (an NDJSON connection) leaves a forwarded
+        backend result as the :class:`~repro.service.protocol.RawJSON`
+        it arrived as; otherwise it is decoded here.
         """
         started = time.perf_counter()
         self._requests_total.inc()
@@ -404,7 +416,7 @@ class RouterServer(WireFrontend):
                 del self._inflight[key]
             self._inflight_changed.set()
         self._latency.observe(to_milliseconds(time.perf_counter() - started))
-        return response
+        return response if encoded else decoded(response)
 
     def _candidates(self, key: str) -> list[str]:
         return self.health.healthy_first(self.ring.replicas(key))
@@ -470,7 +482,10 @@ class RouterServer(WireFrontend):
 
         Routed through the same envelope constructors the server uses,
         so field order — and therefore the encoded bytes — match a
-        direct server response exactly.
+        direct server response exactly.  An encoded result is trusted,
+        not parsed: the backends are this package's servers, and
+        :func:`~repro.service.protocol.decode_reply` only leaves a
+        result encoded when the line has the exact shape they write.
         """
         if not isinstance(reply, dict):
             return error_response(
@@ -481,7 +496,7 @@ class RouterServer(WireFrontend):
             )
         if reply.get("ok"):
             result = reply.get("result")
-            if not isinstance(result, dict):
+            if not isinstance(result, (dict, RawJSON)):
                 return error_response(
                     request_id,
                     BACKEND_UNAVAILABLE,

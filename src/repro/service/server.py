@@ -58,6 +58,7 @@ from repro.service.protocol import (
     OVERLOADED,
     SHUTTING_DOWN,
     UNKNOWN_OP,
+    RawJSON,
     error_response,
     ok_response,
     request_cache_key,
@@ -87,6 +88,23 @@ _REFUSALS = (
 
 #: :meth:`ModelServer._admit`'s verdict for a request that may wait.
 _PARK = object()
+
+
+class _CacheEntry:
+    """A response-cache value: the result dict, plus its compact JSON
+    encoding once an NDJSON reply has needed it (then kept, so every
+    later NDJSON hit splices the same bytes)."""
+
+    __slots__ = ("result", "_encoding")
+
+    def __init__(self, result: dict[str, Any]):
+        self.result = result
+        self._encoding: RawJSON | None = None
+
+    def encoding(self) -> RawJSON:
+        if self._encoding is None:
+            self._encoding = RawJSON.of(self.result)
+        return self._encoding
 
 
 @dataclass(frozen=True)
@@ -316,6 +334,7 @@ class ModelServer(WireFrontend):
         request: dict[str, Any],
         *,
         arrays: dict[str, Any] | None = None,
+        encoded: bool = False,
     ) -> dict[str, Any]:
         """Run one request through the full pipeline; never raises.
 
@@ -325,6 +344,11 @@ class ModelServer(WireFrontend):
         the binary framer ships them as raw sections and the client
         splices the identical floats back in.  ``None`` (the NDJSON and
         in-process paths) keeps every field in the envelope as lists.
+
+        ``encoded=True`` (NDJSON connections) lets a cacheable result
+        come back as the :class:`~repro.service.protocol.RawJSON` its
+        cache entry remembers, so a hit is spliced into the reply line
+        instead of re-encoded.  In-process callers always get dicts.
         """
         if not isinstance(request, dict):
             return error_response(
@@ -382,7 +406,11 @@ class ModelServer(WireFrontend):
                 if hit is not None:
                     cached = True
                     self._cache_hits.inc()
-                    return ok_response(request_id, hit, cached=True)
+                    return ok_response(
+                        request_id,
+                        hit.encoding() if encoded else hit.result,
+                        cached=True,
+                    )
             timeout = self._deadline(request)
             batch_deadline = (
                 asyncio.get_running_loop().time() + timeout
@@ -420,19 +448,17 @@ class ModelServer(WireFrontend):
                     request, time.perf_counter() - dispatched
                 )
             if cache_key is not None:
-                if arrays:
-                    # Deposited series are cached in their list form, so
-                    # later hits serve NDJSON and binary alike (the
-                    # framer re-lifts lists into raw sections).
-                    self.cache.put(
-                        cache_key,
-                        {
-                            **result,
-                            **{k: v.tolist() for k, v in arrays.items()},
-                        },
-                    )
-                else:
-                    self.cache.put(cache_key, result)
+                # Deposited series are cached in their list form, so
+                # later hits serve NDJSON and binary alike (the framer
+                # re-lifts lists into raw sections).
+                entry = _CacheEntry(
+                    {**result, **{k: v.tolist() for k, v in arrays.items()}}
+                    if arrays
+                    else result
+                )
+                self.cache.put(cache_key, entry)
+                if encoded:
+                    return ok_response(request_id, entry.encoding())
             return ok_response(request_id, result)
         except ServiceError as exc:
             status = exc.code

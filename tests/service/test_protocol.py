@@ -5,13 +5,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServiceError
 from repro.service.protocol import (
     BAD_REQUEST,
     CACHEABLE_OPS,
+    INTERNAL,
     MAX_LINE_BYTES,
+    RawJSON,
     decode,
+    decode_reply,
+    decoded,
     encode,
     error_response,
     ok_response,
@@ -77,6 +83,103 @@ class TestEnvelopes:
             unwrap({"ok": True, "result": 42})
         with pytest.raises(ServiceError):
             unwrap("not a dict")
+
+
+#: Strings that look like envelope syntax once encoded, so a splitter
+#: that searched the line text instead of its structure would cut there.
+_TRICKY_STRINGS = (
+    ',"id":', '"result":0', ',"id":7}', ',"cached":true}\n', "}\n", "id",
+    "result", "ok", "cached",
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()  # non-ASCII included: encoded as \u escapes
+    | st.sampled_from(_TRICKY_STRINGS)
+)
+_json_keys = st.text(max_size=8) | st.sampled_from(_TRICKY_STRINGS)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=16,
+)
+#: Results: JSON objects, nested ``"id"`` keys likely.
+_results = st.dictionaries(
+    st.sampled_from(("id", "result", "value", "values")) | _json_keys,
+    _json_values,
+    max_size=5,
+)
+_ids = st.none() | st.integers() | st.text(max_size=8)
+
+
+def _same_envelope(left: dict, right: dict) -> bool:
+    """Equal keys in equal order and equal JSON text (NaN-safe)."""
+    return list(left) == list(right) and json.dumps(left) == json.dumps(right)
+
+
+class TestEncodedResults:
+    """A :class:`RawJSON` result is spliced into the line, not re-encoded,
+    and :func:`decode_reply` leaves exactly the lines it can split
+    safely encoded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(result=_results, request_id=_ids, cached=st.booleans())
+    def test_splice_is_byte_identical(self, result, request_id, cached):
+        spliced = ok_response(request_id, RawJSON.of(result), cached=cached)
+        plain = ok_response(request_id, result, cached=cached)
+        assert encode(spliced) == encode(plain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(result=_results, request_id=_ids, cached=st.booleans())
+    def test_reply_parser_matches_decode(self, result, request_id, cached):
+        line = encode(ok_response(request_id, result, cached=cached))
+        parsed = decode_reply(line)
+        splittable = type(request_id) is int and request_id >= 0
+        assert (type(parsed["result"]) is RawJSON) == splittable
+        if splittable:
+            assert parsed["result"].data == RawJSON.of(result).data
+            assert encode(parsed) == line
+        assert _same_envelope(decoded(parsed), decode(line))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            encode(error_response(3, "overloaded", "full", retriable=True)),
+            b'{"ok":true,"result":{"v":1},"id":"7"}\n',
+            b'{"ok":true,"result":{"v":1},"id":true}\n',
+            b'{"ok":true,"result":{"v":1},"id":-7}\n',
+            b'{"ok":true,"result":{"v":1},"id":null}\n',
+            b'{"ok":true,"result":{"v":1},"id":007}\n',
+            b'{"ok":true,"result":{"id":7}}\n',
+            b'{"ok":true,"result":{"id":7},"cached":true}\n',
+            b'{"ok":true,"result":{"v":1},"id":7}',
+            b'{"ok":true,"result":[1],"id":7}\n',
+            b'{"ok": true, "result": {"v": 1}, "id": 7}\n',
+        ],
+    )
+    def test_reply_parser_falls_back_to_decode(self, line):
+        try:
+            expected = decode(line)
+        except ServiceError as exc:
+            with pytest.raises(ServiceError) as excinfo:
+                decode_reply(line)
+            assert excinfo.value.code == exc.code
+            return
+        parsed = decode_reply(line)
+        assert not isinstance(parsed.get("result"), RawJSON)
+        assert _same_envelope(parsed, expected)
+
+    def test_unwrap_decodes_on_demand(self):
+        raw = RawJSON.of({"value": 2.5})
+        assert unwrap(ok_response(1, raw)) == {"value": 2.5}
+        with pytest.raises(ServiceError) as excinfo:
+            unwrap(ok_response(1, RawJSON(b"{not json")))
+        assert excinfo.value.code == INTERNAL
+        with pytest.raises(ServiceError):
+            unwrap(ok_response(1, RawJSON(b"[1]")))
 
 
 class TestCacheKeys:

@@ -29,9 +29,10 @@ import asyncio
 
 import pytest
 
+from repro._canon import canonical_json
 from repro.exceptions import ServiceError
 from repro.service.client import AsyncServiceClient, RetryPolicy
-from repro.service.protocol import encode
+from repro.service.protocol import decode, encode, ok_response
 from repro.service.router import (
     HealthMonitor,
     RouterConfig,
@@ -158,6 +159,173 @@ class TestByteIdentity:
                     await backend.stop()
 
         run(scenario())
+
+
+async def raw_lines(host: str, port: int, requests: list[dict]) -> list[bytes]:
+    """Each request's reply line as read off the socket, one at a time."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        lines = []
+        for request in requests:
+            writer.write(encode(request))
+            await writer.drain()
+            lines.append(await reader.readline())
+        return lines
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestNdjsonBackendHop:
+    """NDJSON on both hops with the backends' response cache on: the
+    router forwards the backend's result bytes instead of re-encoding
+    them, and nothing a client reads may change because of it."""
+
+    @staticmethod
+    def requests() -> list[dict]:
+        """Cacheable requests, each sent twice (miss, then hit), with
+        id types the reply splitter does and does not handle."""
+        bodies = [
+            {"op": "eval", "machine": "gtx580-double", "model": "energy",
+             "metric": "energy_per_flop", "intensity": 2.0},
+            {"op": "eval", "machine": "i7-950-double", "model": "power",
+             "metric": "power", "intensities": [0.5 * i for i in range(1, 41)]},
+            {"op": "curve", "machine": "gtx580-single", "kind": "archline",
+             "points_per_octave": 20},
+            {"op": "describe", "machine": "i7-950-double"},
+            {"op": "machines"},
+            {"op": "eval", "machine": "no-such", "model": "energy",
+             "metric": "energy_per_flop", "intensity": 1.0},
+        ]
+        ids = [7, "s-1", -3, None, 0, "x"]
+        requests = []
+        for body, request_id in zip(bodies, ids):
+            for _ in range(2):
+                request = dict(body)
+                if request_id is not None:
+                    request["id"] = request_id
+                requests.append(request)
+        return requests
+
+    def test_routed_lines_equal_direct_lines_on_miss_and_hit(self):
+        async def scenario():
+            direct = make_backend(cache_size=64)
+            dhost, dport = await direct.start()
+            backends = [make_backend(cache_size=64) for _ in range(2)]
+            addresses = [
+                "%s:%d" % await backend.start() for backend in backends
+            ]
+            router = RouterServer(
+                addresses, RouterConfig(backend_wire="ndjson")
+            )
+            rhost, rport = await router.start()
+            try:
+                expected = await raw_lines(dhost, dport, self.requests())
+                routed = await raw_lines(rhost, rport, self.requests())
+                binary = await AsyncServiceClient.connect(
+                    rhost, rport, wire="binary"
+                )
+                try:
+                    binary_replies = [
+                        await binary.request(request)
+                        for request in self.requests()
+                    ]
+                finally:
+                    await binary.close()
+                backend_wires = {
+                    info["wire"]
+                    for info in router.stats()["backends"].values()
+                    if info["wire"] is not None
+                }
+            finally:
+                await router.stop()
+                for backend in (direct, *backends):
+                    await backend.stop()
+            return expected, routed, binary, binary_replies, backend_wires
+
+        expected, routed, binary, binary_replies, backend_wires = run(
+            scenario()
+        )
+        assert backend_wires == {"ndjson"}
+        assert routed == expected
+        # Every cacheable request was answered from a cache the second
+        # time, on both paths, and the marker survived the splice.
+        assert [b'"cached":true' in line for line in expected] == [
+            False, True, False, True, False, True, False, True, False, True,
+            False, False,
+        ]
+        assert binary.wire == "binary"
+        for reply, line in zip(binary_replies, expected):
+            direct = decode(line)
+            assert reply["ok"] == direct["ok"]
+            if direct["ok"]:
+                assert canonical_json(reply["result"]) == canonical_json(
+                    direct["result"]
+                )
+            else:
+                assert reply["error"] == direct["error"]
+
+    @pytest.mark.parametrize("with_replica", [False, True])
+    def test_backend_closing_mid_line(self, with_replica):
+        """A torn reply line is a transport failure: a retriable
+        ``backend_unavailable``, or a failover to a healthy replica."""
+        async def torn(reader, writer):
+            line = await reader.readline()
+            if line:
+                reply = encode(ok_response(decode(line)["id"], {"v": 1.0}))
+                writer.write(reply[: len(reply) // 2])
+                await writer.drain()
+            writer.close()
+
+        async def scenario():
+            listener = await asyncio.start_server(torn, "127.0.0.1", 0)
+            addresses = ["%s:%d" % listener.sockets[0].getsockname()[:2]]
+            backends = []
+            if with_replica:
+                backends = [make_backend(cache_size=64)]
+                addresses.append("%s:%d" % await backends[0].start())
+            router = RouterServer(
+                addresses,
+                RouterConfig(
+                    backend_wire="ndjson",
+                    replication=len(addresses),
+                    base_delay=0.001,
+                    health_interval=60.0,
+                ),
+            )
+            # A machine whose first replica is the torn backend, so the
+            # tear is always hit (and, with a replica, failed over).
+            machine = next(
+                key for key in ("gtx580-double", "gtx580-single",
+                                "i7-950-double", "i7-950-single",
+                                "keckler-fermi")
+                if router.ring.replicas(router.routing_key(
+                    {"machine": key}))[0] == addresses[0]
+            )
+            request = {"id": 5, "op": "describe", "machine": machine}
+            rhost, rport = await router.start()
+            try:
+                [line] = await raw_lines(rhost, rport, [request])
+                counters = router.stats()["counters"]
+            finally:
+                await router.stop()
+                for backend in backends:
+                    await backend.stop()
+                listener.close()
+                await listener.wait_closed()
+            return decode(line), counters
+
+        reply, counters = run(scenario())
+        assert reply["id"] == 5
+        assert counters["retries_total"] >= 1
+        if with_replica:
+            assert counters["failovers_total"] >= 1
+            assert reply["ok"] is True
+            assert reply["result"]["name"]
+        else:
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "backend_unavailable"
+            assert reply["error"]["retriable"] is True
 
 
 class TestRouting:

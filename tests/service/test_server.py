@@ -19,6 +19,7 @@ import math
 
 import pytest
 
+from repro._canon import canonical_json
 from repro.exceptions import ServiceError
 from repro.machines.catalog import get_machine
 from repro.service.client import AsyncServiceClient, InProcessClient, ServiceClient
@@ -579,6 +580,115 @@ class TestTCPTransport:
         assert value == scalar_reference(MACHINES[0], "power", "power", 2.0)
         assert values[1] == value
         assert stats["counters"]["requests_total"] >= 2
+
+
+#: Every request verb, called the same way on the async and sync clients.
+VERB_CALLS = {
+    "eval": ((MACHINES[0], "power"), {"model": "power", "intensity": 2.0}),
+    "curve": ((MACHINES[0], "roofline"),
+              {"lo": 1.0, "hi": 8.0, "points_per_octave": 2}),
+    "balance": ((MACHINES[0],), {}),
+    "tradeoff": ((MACHINES[0],), {"intensity": 0.5, "f": 1.5, "m": 4.0}),
+    "greenup": ((MACHINES[0],), {"intensity": 0.5, "m": 4.0}),
+    "describe": ((MACHINES[1],), {}),
+    "machines": ((), {}),
+    "ping": ((), {}),
+}
+
+
+@pytest.mark.parametrize("verb", [*VERB_CALLS, "eval_grid", "stats"])
+def test_sync_verb_returns_what_async_verb_returns(verb):
+    """The sync client's verbs come from the same builder table as the
+    async ones; same arguments, same return value."""
+    if verb == "eval_grid":
+        name, args, kwargs = "eval", (MACHINES[0], "power"), {
+            "model": "power", "intensities": [1.0, 2.0, 4.0]}
+    elif verb == "stats":
+        name, args, kwargs = "stats", (), {}
+    else:
+        name, (args, kwargs) = verb, VERB_CALLS[verb]
+
+    async def scenario():
+        server = make_server()
+        host, port = await server.start()
+        async with await AsyncServiceClient.connect(host, port) as client:
+            async_result = await getattr(client, name)(*args, **kwargs)
+
+        def blocking():
+            with ServiceClient(host, port) as client:
+                return getattr(client, name)(*args, **kwargs)
+
+        sync_result = await asyncio.get_running_loop().run_in_executor(
+            None, blocking
+        )
+        await server.stop()
+        return async_result, sync_result
+
+    async_result, sync_result = run(scenario())
+    if name == "stats":  # live counters differ; the shape must not
+        assert set(sync_result) == set(async_result)
+    else:
+        assert sync_result == async_result
+        assert type(sync_result) is type(async_result)
+
+
+class TestCacheAcrossFramings:
+    """One response-cache entry serves binary, NDJSON and in-process
+    hits alike, whichever framing filled it (and remembered, or not,
+    its NDJSON encoding)."""
+
+    BODIES = (
+        {"op": "eval", "machine": MACHINES[0], "model": "power",
+         "metric": "power", "intensities": [0.25 * i for i in range(1, 65)]},
+        {"op": "curve", "machine": MACHINES[1], "kind": "archline",
+         "points_per_octave": 16},
+        {"op": "balance", "machine": MACHINES[0]},
+    )
+
+    @staticmethod
+    async def over_binary(host, port, body):
+        async with await AsyncServiceClient.connect(
+            host, port, wire="binary"
+        ) as client:
+            assert client.wire == "binary"
+            return await client.request(dict(body))
+
+    @staticmethod
+    async def over_ndjson(host, port, body):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode({**body, "id": 1}))
+        await writer.drain()
+        line = await reader.readline()
+        writer.close()
+        await writer.wait_closed()
+        return decode(line)
+
+    @pytest.mark.parametrize("first", ["binary", "ndjson"])
+    def test_one_entry_serves_every_framing(self, first):
+        async def scenario():
+            server = make_server(cache_size=64)
+            host, port = await server.start()
+            replies = []
+            for body in self.BODIES:
+                fill, hit = (
+                    (self.over_binary, self.over_ndjson)
+                    if first == "binary"
+                    else (self.over_ndjson, self.over_binary)
+                )
+                filled = await fill(host, port, body)
+                wired = await hit(host, port, body)
+                inproc = await server.handle_request(dict(body))
+                replies.append((filled, wired, inproc))
+            await server.stop()
+            return replies
+
+        for filled, wired, inproc in run(scenario()):
+            assert "cached" not in filled
+            assert wired["cached"] is True and inproc["cached"] is True
+            assert type(inproc["result"]) is dict
+            payload = canonical_json(filled["result"])
+            assert canonical_json(wired["result"]) == payload
+            assert canonical_json(inproc["result"]) == payload
 
 
 class TestClientAfterHangup:
