@@ -294,7 +294,7 @@ class AsyncServiceClient(_RequestAPI):
         host: str,
         port: int,
         *,
-        limit: int = 2**20,
+        limit: int = wireformat.MAX_FRAME_BYTES,
         wire: str = WIRE_NDJSON,
         retry: RetryPolicy | None = None,
     ) -> "AsyncServiceClient":
@@ -305,6 +305,11 @@ class AsyncServiceClient(_RequestAPI):
         reply other than a binary acceptance — an ``ndjson`` answer, an
         ``unknown_op`` from a pre-binary server — leaves the connection
         on NDJSON; check ``client.wire`` for the outcome.
+
+        ``limit`` bounds one NDJSON reply line; by default it is the
+        binary frame bound, so a reply either framing can carry is read
+        whole.  A longer line fails every pending request with an
+        error that names the read limit, and ends the connection.
         """
         _check_wire(wire)
         reader, writer = await asyncio.open_connection(host, port, limit=limit)
@@ -346,7 +351,16 @@ class AsyncServiceClient(_RequestAPI):
 
     async def _read_lines(self) -> None:
         while True:
-            line = await self._reader.readline()
+            try:
+                line = await self._reader.readline()
+            except ValueError:
+                # Over the reader's limit; the rest of the line is
+                # still on the wire, so the stream cannot go on.
+                self._fail_pending(
+                    "a reply line exceeded the read limit set at "
+                    "connect(); connection abandoned"
+                )
+                break
             if not line:
                 break
             self.bytes_received += len(line)
@@ -403,14 +417,16 @@ class AsyncServiceClient(_RequestAPI):
         request_id = self._next_id
         self._next_id += 1
         request = {**request, "id": request_id}
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+        # Encoded before the reply is awaited: a request that cannot be
+        # encoded raises here and leaves nothing pending.
         if self.wire == WIRE_BINARY:
             data = wireformat.encode_frame(
                 wireformat.KIND_REQUEST, request_id, request
             )
         else:
             data = encode(request)
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = future
         self.bytes_sent += len(data)
         try:
             self._writer.write(data)
@@ -524,7 +540,7 @@ class ServiceClient:
         if not line:
             raise ServiceError(INTERNAL, "connection closed by server")
         self.bytes_received += len(line)
-        return decode(line)
+        return decode(line, limit=wireformat.MAX_FRAME_BYTES)
 
     def _call_once(self, request: dict[str, Any]) -> dict[str, Any]:
         return unwrap(self.request(request))

@@ -40,6 +40,8 @@ import math
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro import units
 from repro.service.metrics import MetricsRegistry
 
@@ -332,6 +334,8 @@ class CostPredictor:
         op = request.get("op")
         if op == "eval":
             grid = request.get("intensities")
+            if isinstance(grid, np.ndarray):
+                return max(1, grid.size)
             if isinstance(grid, (list, tuple)):
                 return max(1, len(grid))
             return 1

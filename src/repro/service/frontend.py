@@ -101,7 +101,9 @@ class WireFrontend:
             self, request, *, arrays=None, encoded=False
         ) -> dict
 
-    which must never raise — every failure becomes an error envelope.
+    which should never raise — every failure becomes an error envelope.
+    One that raises anyway is answered with an ``internal`` error, so
+    no request is left waiting.
     NDJSON connections pass ``encoded=True``: the pipeline may then
     return a success ``result`` as an already-encoded
     :class:`~repro.service.protocol.RawJSON`, which
@@ -322,7 +324,11 @@ class WireFrontend:
                 # a peer that stalls mid-body.
                 async with asyncio.timeout(wireformat.FRAME_BODY_TIMEOUT):
                     body = await reader.readexactly(body_len)
-                request = wireformat.decode_body(kind, nsections, body)
+                # Request grids stay float64 arrays: the pipeline
+                # wants an array, and a list would only be converted back.
+                request = wireformat.decode_body(
+                    kind, nsections, body, lists=False
+                )
             except ServiceError as exc:
                 await self._frame_error(outbox, seq, exc.message)
                 return
@@ -352,20 +358,36 @@ class WireFrontend:
             wireformat.encode_frame(wireformat.KIND_RESPONSE, seq, envelope)
         )
 
+    def _internal_error(
+        self, request: dict[str, Any], exc: Exception
+    ) -> dict[str, Any]:
+        """The answer to a request whose pipeline raised: a bug there
+        must still reply, or the client would wait forever."""
+        self._frontend_errors.inc()
+        return error_response(
+            request.get("id"), INTERNAL, f"{type(exc).__name__}: {exc}"
+        )
+
     async def _answer_line(self, line: bytes, outbox: _Outbox) -> None:
         try:
             request = decode(line)
         except ServiceError as exc:
             response = error_response(None, exc.code, exc.message)
         else:
-            response = await self.handle_request(request, encoded=True)
+            try:
+                response = await self.handle_request(request, encoded=True)
+            except Exception as exc:  # noqa: BLE001 - the serving boundary
+                response = self._internal_error(request, exc)
         await outbox.send(encode(response))
 
     async def _answer_frame(
         self, request: dict[str, Any], outbox: _Outbox
     ) -> None:
         arrays: dict[str, Any] = {}
-        response = await self.handle_request(request, arrays=arrays)
+        try:
+            response = await self.handle_request(request, arrays=arrays)
+        except Exception as exc:  # noqa: BLE001 - the serving boundary
+            response = self._internal_error(request, exc)
         request_id = request.get("id")
         seq = (
             request_id

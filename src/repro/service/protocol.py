@@ -68,6 +68,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from repro._canon import content_hash
 from repro.exceptions import ServiceError
 
@@ -195,35 +197,50 @@ class RawJSON:
             raise ServiceError(INTERNAL, f"invalid result JSON: {exc}") from exc
 
 
+def _as_list(value: Any) -> Any:
+    """JSON fallback: an ndarray (a binary request's grid) is its list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
 def encode(payload: dict[str, Any]) -> bytes:
     """One protocol line: compact JSON plus the newline terminator.
 
     A :class:`RawJSON` result is spliced in as is; the line is
-    byte-identical to encoding the decoded envelope.
+    byte-identical to encoding the decoded envelope.  An ndarray field
+    is written as the JSON list it stands for.
     """
     result = payload.get("result")
     if type(result) is RawJSON:
         fields = [
             json.dumps(key).encode("utf-8") + b":" + (
                 result.data if key == "result"
-                else json.dumps(value, separators=(",", ":")).encode("utf-8")
+                else json.dumps(
+                    value, separators=(",", ":"), default=_as_list
+                ).encode("utf-8")
             )
             for key, value in payload.items()
         ]
         return b"{" + b",".join(fields) + b"}\n"
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return json.dumps(
+        payload, separators=(",", ":"), default=_as_list
+    ).encode("utf-8") + b"\n"
 
 
-def decode(line: bytes | str) -> dict[str, Any]:
+def decode(
+    line: bytes | str, *, limit: int | None = MAX_LINE_BYTES
+) -> dict[str, Any]:
     """Parse one protocol line into a request/response dict.
 
     Raises :class:`ServiceError` (``bad_request``) for anything that is
-    not a single JSON object.
+    not a single JSON object, or a bytes line longer than ``limit``
+    (``None``: the caller's reader has bounded the line already).
     """
-    if isinstance(line, bytes) and len(line) > MAX_LINE_BYTES:
-        raise ServiceError(
-            BAD_REQUEST, f"line exceeds {MAX_LINE_BYTES} bytes"
-        )
+    if limit is not None and isinstance(line, bytes) and len(line) > limit:
+        raise ServiceError(BAD_REQUEST, f"line exceeds {limit} bytes")
     try:
         payload = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -250,13 +267,11 @@ def decode_reply(line: bytes) -> dict[str, Any]:
     a :class:`RawJSON` result.  Every other line (errors, string,
     boolean, negative or missing ids, no trailing newline) goes through
     :func:`decode`.  The result bytes are trusted to be the JSON a
-    server of this package wrote; nothing here validates them.
+    server of this package wrote; nothing here validates them.  Reply
+    lines are not held to the request bound :data:`MAX_LINE_BYTES`: the
+    client's reader limits them.
     """
-    if (
-        line.startswith(_OK_HEAD)
-        and line.endswith(b"}\n")
-        and len(line) <= MAX_LINE_BYTES
-    ):
+    if line.startswith(_OK_HEAD) and line.endswith(b"}\n"):
         cached = line.endswith(_CACHED_TAIL)
         end = len(line) - (len(_CACHED_TAIL) if cached else 2)
         cut = line.rfind(_ID_FIELD, len(_OK_HEAD), end)
@@ -276,7 +291,7 @@ def decode_reply(line: bytes) -> dict[str, Any]:
             if cached:
                 response["cached"] = True
             return response
-    return decode(line)
+    return decode(line, limit=None)
 
 
 def ok_response(
@@ -345,12 +360,15 @@ def request_cache_key(request: dict[str, Any]) -> str | None:
     Canonicalisation (sorted keys, fixed separators — see
     :mod:`repro._canon`) means field order on the wire never splits
     cache entries; the ``id``, ``timeout_ms`` and ``priority`` envelope
-    fields are dropped because they do not affect the result.
+    fields are dropped because they do not affect the result.  An
+    ndarray grid hashes as the list it stands for, so one entry serves
+    every framing.
     """
     if request.get("op") not in CACHEABLE_OPS:
         return None
-    if any(field in request for field in _NON_SEMANTIC_FIELDS):
-        request = {
-            k: v for k, v in request.items() if k not in _NON_SEMANTIC_FIELDS
-        }
+    request = {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in request.items()
+        if k not in _NON_SEMANTIC_FIELDS
+    }
     return content_hash(request)

@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from operator import add, le
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.exceptions import ReproError, ServiceError
 from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
@@ -645,16 +647,12 @@ class ModelServer(WireFrontend):
             model = request.get("model", "time")
             metric = _required(request, "metric", str)
             if "intensities" in request:
-                grid = request["intensities"]
-                if not isinstance(grid, (list, tuple)) or not grid:
-                    raise ServiceError(
-                        BAD_REQUEST, "intensities must be a non-empty array"
-                    )
+                grid = _grid(request["intensities"])
                 if self.pool is not None:
                     self.engine.batch_calls += 1
                     values = await self.pool.submit(
                         "eval_batch",
-                        (machine, model, metric, list(map(float, grid))),
+                        (machine, model, metric, grid),
                         self.pool.key_for(machine, model),
                     )
                 else:
@@ -869,6 +867,37 @@ def _validate_config(config: ServerConfig) -> None:
             "autoscaling needs 1 <= autoscale_min <= autoscale_max, got "
             f"min={config.autoscale_min} max={config.autoscale_max}"
         )
+
+
+#: Scalar types a grid may hold: numbers, but not bools.
+_GRID_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _grid(value: Any) -> np.ndarray:
+    """A request's ``intensities`` as one contiguous 1-D float64 array.
+
+    Checked here on the loop whatever evaluates it, so a bad grid gets
+    the same ``bad_request`` with or without a worker pool, and the
+    pool pickles one buffer instead of a float list.  A binary
+    request's grid is a float64 array already and passes as is.
+    """
+    if isinstance(value, np.ndarray):
+        valid = value.ndim == 1 and value.dtype.kind in "fiu"
+    else:
+        # One C-level pass collects the element types; a grid of JSON
+        # numbers has at most two, so checking each type is cheap.
+        valid = isinstance(value, (list, tuple)) and all(
+            issubclass(kind, _GRID_NUMBERS) and not issubclass(kind, bool)
+            for kind in set(map(type, value))
+        )
+    if valid and len(value):
+        try:
+            return np.ascontiguousarray(value, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer beyond float range
+    raise ServiceError(
+        BAD_REQUEST, "intensities must be a non-empty array of numbers"
+    )
 
 
 def _required(request: dict[str, Any], name: str, types: Any) -> Any:

@@ -43,10 +43,11 @@ __all__ = ["RingArena", "RingError", "SLOT_HEADER_SIZE", "SLOT_SIZE"]
 _SLOT_HEADER = struct.Struct("<QI")
 SLOT_HEADER_SIZE = _SLOT_HEADER.size
 
-#: Bytes per arena, header included.  One slot comfortably holds a
-#: pickled 2000-point curve reply (~32 KiB) or a 1024-point grid job;
-#: bigger bodies spill per job.
-SLOT_SIZE = 1 << 18
+#: Bytes per arena, header included: the next power of two above the
+#: largest body the perfbench workloads move — a pickled 20 001-point
+#: curve reply (two float64 arrays, 320 264 B).  An 8192-point grid job
+#: ships as one ndarray (~64 KiB); bigger bodies spill per job.
+SLOT_SIZE = 1 << 19
 
 
 class RingError(RuntimeError):

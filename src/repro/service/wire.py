@@ -131,6 +131,9 @@ _MIN_ARRAY_SECTION = 32
 _REQUEST_ARRAY_FIELDS = ("intensities",)
 _RESPONSE_ARRAY_FIELDS = ("intensities", "values")
 
+#: The element types of a liftable list.
+_FLOAT_ONLY = frozenset({float})
+
 
 def hello_request(request_id: Any = 0) -> dict[str, Any]:
     """The NDJSON negotiation request offering binary framing."""
@@ -169,12 +172,14 @@ def _liftable(value: Any) -> np.ndarray | None:
         if value.dtype == np.float64 and value.ndim == 1:
             return value
         return None
+    # One C-level pass decides (exact floats only: ints, bools and
+    # numpy scalars stay JSON) and one more builds the array.
     if (
         isinstance(value, list)
         and len(value) >= _MIN_ARRAY_SECTION
-        and all(type(v) is float for v in value)
+        and set(map(type, value)) == _FLOAT_ONLY
     ):
-        return np.asarray(value, dtype=np.float64)
+        return np.fromiter(value, dtype=np.float64, count=len(value))
     return None
 
 
@@ -275,16 +280,20 @@ def parse_header(header: bytes) -> tuple[int, int, int, int]:
     return kind, nsections, body_len, seq
 
 
-def decode_body(kind: int, nsections: int, body: bytes) -> dict[str, Any]:
+def decode_body(
+    kind: int, nsections: int, body: bytes, *, lists: bool = True
+) -> dict[str, Any]:
     """Decode frame sections back into the NDJSON-equivalent envelope.
 
     Array-section payloads are re-inserted as ``.tolist()`` floats —
     the identical IEEE values JSON would have carried — into ``result``
-    for responses and at top level for requests.
+    for responses and at top level for requests.  ``lists=False`` (the
+    serving front end) re-inserts them as read-only float64 ndarrays
+    instead, for consumers that want the array anyway.
     """
     offset = 0
     payload: dict[str, Any] | None = None
-    arrays: list[tuple[str, list[float]]] = []
+    arrays: list[tuple[str, Any]] = []
     for _ in range(nsections):
         if offset + _SECTION.size > len(body):
             raise ServiceError(BAD_FRAME, "section header overruns frame body")
@@ -319,7 +328,8 @@ def decode_body(kind: int, nsections: int, body: bytes) -> dict[str, Any]:
                 raise ServiceError(
                     BAD_FRAME, f"malformed float64 section {name!r}"
                 )
-            arrays.append((name, np.frombuffer(raw, dtype="<f8").tolist()))
+            values = np.frombuffer(raw, dtype="<f8")
+            arrays.append((name, values.tolist() if lists else values))
         else:
             raise ServiceError(BAD_FRAME, f"unknown section type {stype}")
     if offset != len(body):

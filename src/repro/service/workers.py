@@ -605,10 +605,11 @@ class WorkerPool:
         job_body = _ship(
             data, shard.job_ring, f"{self._spill_prefix(shard)}{seq:x}j"
         )
+        # The ring stats count round trips: a fallback when either body
+        # spilled.  A spilled job counts as it ships, so a worker that
+        # dies holding it still shows in the stats.
         ringed_job = job_body[0] == "ring"
-        if ringed_job:
-            shard.ring_jobs += 1
-        else:
+        if not ringed_job:
             shard.ring_fallbacks += 1
         try:
             shard.conn.send((seq, kind, job_body))
@@ -625,6 +626,11 @@ class WorkerPool:
         if reply[0] != seq:  # pragma: no cover - protocol corruption
             self._respawn(shard, seq)
             raise WorkerCrashError(shard.index, "out-of-sequence reply")
+        ringed = ringed_job and (reply[1] == "err" or reply[2][0] == "ring")
+        if ringed:
+            shard.ring_jobs += 1
+        elif ringed_job:
+            shard.ring_fallbacks += 1
         if reply[1] == "err":
             raise ServiceError(reply[2], reply[3])
         try:
@@ -634,7 +640,7 @@ class WorkerPool:
             raise WorkerCrashError(
                 shard.index, f"reply ring validation failed: {exc}"
             ) from exc
-        return result, reply[3], ringed_job and reply[2][0] == "ring"
+        return result, reply[3], ringed
 
     # ------------------------------------------------------------------
     # Shutdown

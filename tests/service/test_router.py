@@ -604,3 +604,37 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
+
+
+class TestLongBackendReplies:
+    """A reply line over 1 MiB crosses an NDJSON backend hop whole."""
+
+    def test_large_curve_over_ndjson_hop_equals_direct_binary(self):
+        body = {"op": "curve", "machine": MACHINES[0], "kind": "roofline",
+                "points_per_octave": 8192}
+
+        async def scenario():
+            backend = make_backend()
+            host, port = await backend.start()
+            router = RouterServer(
+                [f"{host}:{port}"], RouterConfig(backend_wire="ndjson")
+            )
+            rhost, rport = await router.start()
+            try:
+                async with asyncio.timeout(30.0):
+                    async with await AsyncServiceClient.connect(
+                        rhost, rport
+                    ) as routed:
+                        via_router = await routed.call(dict(body))
+                    async with await AsyncServiceClient.connect(
+                        host, port, wire="binary"
+                    ) as direct:
+                        expected = await direct.call(dict(body))
+            finally:
+                await router.stop()
+                await backend.stop()
+            return via_router, expected
+
+        via_router, expected = run(scenario())
+        assert len(expected["values"]) == 81921
+        assert canonical_json(via_router) == canonical_json(expected)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import math
 
+import numpy as np
 import pytest
 
 from repro._canon import canonical_json
@@ -24,6 +25,8 @@ from repro.exceptions import ServiceError
 from repro.machines.catalog import get_machine
 from repro.service.client import AsyncServiceClient, InProcessClient, ServiceClient
 from repro.service.engine import EVAL_METRICS, MODELS
+from repro.service.frontend import WireFrontend
+from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import decode, encode, ok_response
 from repro.service.server import ModelServer, ServerConfig
 
@@ -749,3 +752,172 @@ class TestClientAfterHangup:
             await listener.wait_closed()
 
         run(scenario())
+
+
+class TestGridValidation:
+    """A grid is checked once, on the loop, so a bad one gets the same
+    ``bad_request`` envelope whether the loop or a worker evaluates."""
+
+    BAD_GRIDS = ([None, 1.0], [[1.0, 2.0], [3.0, 4.0]], ["abc", 1.0], [])
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_bad_grids_answer_bad_request_for_any_worker_count(self, workers):
+        async def scenario():
+            server = make_server(workers=workers)
+            try:
+                return [
+                    await server.handle_request(
+                        {"id": 1, "op": "eval", "machine": MACHINES[0],
+                         "model": "power", "metric": "power",
+                         "intensities": grid}
+                    )
+                    for grid in self.BAD_GRIDS
+                ]
+            finally:
+                await server.stop()
+
+        expected = {
+            "ok": False,
+            "id": 1,
+            "error": {
+                "code": "bad_request",
+                "message": "intensities must be a non-empty array of numbers",
+            },
+        }
+        assert run(scenario()) == [expected] * len(self.BAD_GRIDS)
+
+    def test_arrays_and_number_lists_answer_alike(self):
+        grid = [1, 2.0, 4]
+        good = (grid, tuple(grid), np.array(grid), np.array(grid, dtype=int))
+        bad = (np.array([[1.0, 2.0]]), np.array([True, False]), np.array([]))
+
+        async def scenario():
+            server = make_server()
+            try:
+                return [
+                    await server.handle_request(
+                        {"op": "eval", "machine": MACHINES[0],
+                         "model": "power", "metric": "power",
+                         "intensities": form}
+                    )
+                    for form in (*good, *bad)
+                ]
+            finally:
+                await server.stop()
+
+        replies = run(scenario())
+        served, refused = replies[: len(good)], replies[len(good):]
+        assert served[0]["ok"] and len(served[0]["result"]["values"]) == 3
+        assert all(reply == served[0] for reply in served)
+        assert [r["error"]["code"] for r in refused] == ["bad_request"] * 3
+
+
+class TestLongNdjsonReplies:
+    """A reply line longer than 1 MiB is read whole over NDJSON."""
+
+    def test_large_curve_over_ndjson_equals_binary(self):
+        body = {"op": "curve", "machine": MACHINES[0], "kind": "roofline",
+                "points_per_octave": 8192}
+
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            try:
+                async with asyncio.timeout(30.0):
+                    async with await AsyncServiceClient.connect(
+                        host, port
+                    ) as ndjson:
+                        over_ndjson = await ndjson.call(dict(body))
+                        received = ndjson.bytes_received
+                    async with await AsyncServiceClient.connect(
+                        host, port, wire="binary"
+                    ) as binary:
+                        over_binary = await binary.call(dict(body))
+            finally:
+                await server.stop()
+            return over_ndjson, received, over_binary
+
+        over_ndjson, received, over_binary = run(scenario())
+        assert received > 2**20
+        assert len(over_ndjson["values"]) == 81921
+        assert canonical_json(over_ndjson) == canonical_json(over_binary)
+
+    def test_line_over_the_limit_fails_with_a_clear_error(self):
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            try:
+                client = await AsyncServiceClient.connect(
+                    host, port, limit=4096
+                )
+                try:
+                    with pytest.raises(ServiceError) as excinfo:
+                        async with asyncio.timeout(10.0):
+                            await client.curve(
+                                MACHINES[0], "roofline", points_per_octave=64
+                            )
+                finally:
+                    await client.close()
+            finally:
+                await server.stop()
+            return excinfo.value
+
+        error = run(scenario())
+        assert "read limit" in error.message
+
+
+class _Raising(WireFrontend):
+    """A pipeline with a bug: every request raises ``TypeError``."""
+
+    def __init__(self):
+        self._init_frontend(
+            metrics=MetricsRegistry(), wire="auto", host="127.0.0.1", port=0
+        )
+
+    async def handle_request(self, request, *, arrays=None, encoded=False):
+        raise TypeError("pipeline bug")
+
+
+class TestNoRequestUnanswered:
+    @pytest.mark.parametrize("wire", ["ndjson", "binary"])
+    def test_raising_pipeline_answers_internal(self, wire):
+        async def scenario():
+            frontend = _Raising()
+            host, port = await frontend.start()
+            try:
+                async with await AsyncServiceClient.connect(
+                    host, port, wire=wire
+                ) as client:
+                    async with asyncio.timeout(5.0):
+                        reply = await client.request({"op": "balance"})
+                    assert client.wire == wire
+            finally:
+                await frontend._close_listener()
+            return reply
+
+        reply = run(scenario())
+        assert reply["ok"] is False
+        assert reply["error"] == {
+            "code": "internal", "message": "TypeError: pipeline bug"
+        }
+
+    def test_unencodable_request_leaves_nothing_pending(self):
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            try:
+                async with await AsyncServiceClient.connect(
+                    host, port
+                ) as client:
+                    with pytest.raises(TypeError):
+                        await client.request({"op": "ping", "x": object()})
+                    pending = dict(client._pending)
+                    async with asyncio.timeout(5.0):
+                        still_served = await client.ping()
+            finally:
+                await server.stop()
+            return pending, still_served
+
+        pending, still_served = run(scenario())
+        assert pending == {}
+        assert still_served is True

@@ -21,11 +21,13 @@ import os
 import pickle
 import signal
 
+import numpy as np
 import pytest
 
 from repro._canon import canonical_json
 from repro.exceptions import ServiceError
 from repro.service.engine import EvalEngine
+from repro.service import workers as workers_module
 from repro.service.loadgen import build_requests
 from repro.service.server import ModelServer, ServerConfig
 from repro.service.shmring import SLOT_SIZE, RingArena
@@ -631,3 +633,67 @@ class TestRingTransport:
         first, second = run(scenario())
         assert canonical_json(first) == canonical_json(second)
         assert len(first["values"]) == 4001
+
+
+class TestFloatBuffersAcrossThePool:
+    """Grids and curves cross the pool as float64 buffers: a heavy
+    curve reply fits the ring slot, and a grid job is one ndarray."""
+
+    def test_curve_reply_rides_ring_and_grid_job_is_an_ndarray(
+        self, monkeypatch
+    ):
+        shipped: list[bytes] = []
+        ship = workers_module._ship
+
+        def recording_ship(data, ring, name):
+            shipped.append(bytes(data))
+            return ship(data, ring, name)
+
+        # Only the parent's job bodies pass here; the spawned worker
+        # imports its own, unpatched module.
+        monkeypatch.setattr(workers_module, "_ship", recording_ship)
+        curve = {"op": "curve", "machine": MACHINES[0], "kind": "roofline",
+                 "points_per_octave": 2000}
+        grid = [0.5 + 0.001 * i for i in range(8192)]
+        grid_request = {"op": "eval", "machine": MACHINES[0],
+                        "model": "power", "metric": "power",
+                        "intensities": grid}
+
+        async def scenario():
+            server = make_server(workers=1)
+            try:
+                await server.pool.ready()
+                before = server.pool.stats()["ring"]
+                arrays: dict = {}
+                curve_reply = await server.handle_request(
+                    dict(curve), arrays=arrays
+                )
+                after_curve = server.pool.stats()["ring"]
+                grid_reply = await server.handle_request(dict(grid_request))
+                after_grid = server.pool.stats()["ring"]
+            finally:
+                await server.stop()
+            return (curve_reply, arrays, grid_reply, before, after_curve,
+                    after_grid)
+
+        (curve_reply, arrays, grid_reply, before, after_curve,
+         after_grid) = run(scenario())
+        engine = EvalEngine()
+        reply_body = len(pickle.dumps(
+            engine.curve_arrays(MACHINES[0], "roofline",
+                                points_per_octave=2000),
+            pickle.HIGHEST_PROTOCOL,
+        ))
+        # The 20 001-point reply outgrew a 256 KiB slot but fits this one.
+        assert len(arrays["values"]) == 20001
+        assert 1 << 18 < reply_body <= RingArena.capacity
+        assert curve_reply["ok"]
+        assert after_curve == {**before, "jobs": before["jobs"] + 1}
+        assert after_grid == {**before, "jobs": before["jobs"] + 2}
+        # The grid job pickled as one float64 buffer, ~8 B a point.
+        job = pickle.loads(shipped[-1])
+        assert isinstance(job[3], np.ndarray) and job[3].dtype == np.float64
+        assert 8 * len(grid) < len(shipped[-1]) < 8 * len(grid) + 512
+        assert grid_reply["result"]["values"] == engine.eval_batch(
+            MACHINES[0], "power", "power", grid
+        ).tolist()
