@@ -247,21 +247,49 @@ class Octree:
         * every point is in exactly one leaf;
         * every leaf respects capacity (unless at the depth limit);
         * every leaf's points lie inside its box.
+
+        Vectorised over all points: each is compared with its own
+        leaf's box, one axis at a time.  A violation names the first
+        offending leaf, and within a leaf an overflow is reported before
+        an out-of-box point.
         """
-        seen = np.concatenate([leaf.points for leaf in self.leaves]) if self.leaves else np.array([], dtype=np.int64)
-        if seen.size != self.n_points or np.unique(seen).size != self.n_points:
+        n = self.n_points
+        sizes = self.leaf_sizes()
+        seen = (
+            np.concatenate([leaf.points for leaf in self.leaves])
+            if self.leaves
+            else np.array([], dtype=np.int64)
+        )
+        covered = np.count_nonzero(
+            np.bincount(seen[(seen >= 0) & (seen < n)], minlength=n)
+        )
+        if seen.size != n or covered != n:
+            raise TreeError(f"leaves cover {covered} of {n} points")
+        if not self.leaves:
+            return
+        depths = np.array([leaf.depth for leaf in self.leaves])
+        over = (sizes > self.leaf_capacity) & (depths < MAX_DEPTH)
+        # Half-open boxes: [c-h, c+h); points sit strictly inside up to fp
+        # slack.  Each point meets its own leaf's box, one axis at a time.
+        centers = np.array([leaf.center for leaf in self.leaves])
+        halves = np.repeat([leaf.half_width for leaf in self.leaves], sizes)
+        outside = np.zeros(n, dtype=bool)
+        for axis in range(3):
+            pts = self.positions[seen, axis]
+            mid = np.repeat(centers[:, axis], sizes)
+            outside |= (pts < mid - halves - 1e-12) | (pts >= mid + halves + 1e-12)
+        leaf_of_point = np.repeat(np.arange(len(self.leaves)), sizes)
+        first_over = int(np.argmax(over)) if over.any() else len(self.leaves)
+        first_out = (
+            int(leaf_of_point[np.argmax(outside)]) if outside.any() else len(self.leaves)
+        )
+        if first_over < len(self.leaves) and first_over <= first_out:
+            leaf = self.leaves[first_over]
             raise TreeError(
-                f"leaves cover {np.unique(seen).size} of {self.n_points} points"
+                f"leaf {leaf.index} overflows capacity "
+                f"({leaf.size} > {self.leaf_capacity}) above the depth limit"
             )
-        for leaf in self.leaves:
-            if leaf.size > self.leaf_capacity and leaf.depth < MAX_DEPTH:
-                raise TreeError(
-                    f"leaf {leaf.index} overflows capacity "
-                    f"({leaf.size} > {self.leaf_capacity}) above the depth limit"
-                )
-            pts = self.positions[leaf.points]
-            # Half-open boxes: [c-h, c+h); points sit strictly inside up to fp slack.
-            if np.any(pts < leaf.center - leaf.half_width - 1e-12) or np.any(
-                pts >= leaf.center + leaf.half_width + 1e-12
-            ):
-                raise TreeError(f"leaf {leaf.index} contains out-of-box points")
+        if first_out < len(self.leaves):
+            raise TreeError(
+                f"leaf {self.leaves[first_out].index} contains out-of-box points"
+            )

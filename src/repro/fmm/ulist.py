@@ -8,14 +8,12 @@ adjacency is the box-overlap test
 
     ``|c_a[d] − c_b[d]| <= h_a + h_b + slack``  for every dimension d.
 
-Construction uses a uniform spatial hash at the finest leaf scale to
-avoid the O(L²) all-pairs test; a naive quadratic reference is kept for
-property tests.
+:func:`build_ulist` avoids the O(L²) all-pairs test with one sort-join
+over exact octree cells; the naive quadratic reference is kept as the
+test oracle.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -27,6 +25,17 @@ __all__ = ["build_ulist", "build_ulist_naive", "boxes_adjacent"]
 #: Relative slack for the touch test; boxes meeting exactly at a face,
 #: edge, or corner count as adjacent.
 _SLACK = 1e-9
+
+#: The 27 integer offsets of a cell's neighbourhood (itself included).
+_OFFSETS = np.array(
+    [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
+    dtype=np.int64,
+)
+
+#: Deepest level with int64 cell ids: the ids of a complete octree down
+#: to level 20 number (8**21 - 1) / 7 < 2**63.  Equals the octree's
+#: default depth limit, so it binds only on trees built deeper.
+_ID_LEVELS = 20
 
 
 def boxes_adjacent(
@@ -52,12 +61,21 @@ def build_ulist_naive(tree: Octree) -> list[list[int]]:
 
 
 def build_ulist(tree: Octree) -> list[list[int]]:
-    """Spatial-hash U-list construction.
+    """Sort-join U-list construction.
 
-    Bins every leaf by its centre on a grid at the finest leaf scale and
-    tests only leaves from candidate bins.  Coarse leaves overlapping
-    many fine bins are registered in each bin they intersect, so no
-    adjacency is missed across resolution levels.
+    Octree boxes are exact dyadic cells, so adjacency is decided on
+    integer cell coordinates before any float is compared.  If leaves
+    ``a`` and ``b`` touch and ``a`` is no deeper than ``b``, then ``b``
+    lies in one of the 27 cells around ``a``'s own cell at ``a``'s
+    level.  So every leaf *registers* under the cell that contains it
+    at each leaf level down to its own, every leaf *probes* the 27
+    cells around its own, and one ``searchsorted`` over the sorted
+    registrations pairs probes with registrations.  A pair is kept if
+    it passes the same float overlap test as :func:`boxes_adjacent`
+    (same operand order: ``(h_a + h_b) + slack`` against
+    ``|c_a − c_b|``), then mirrored and sorted by pair key.  The join finds
+    every pair that test accepts as long as a cell edge exceeds the
+    slack, i.e. for trees under 30 levels.
 
     Returns, for each leaf index, the sorted list of adjacent leaf
     indices (self included) — ``U(B)`` of Algorithm 1.
@@ -65,42 +83,105 @@ def build_ulist(tree: Octree) -> list[list[int]]:
     leaves = tree.leaves
     if not leaves:
         raise TreeError("tree has no leaves")
+    n = len(leaves)
     centers = np.array([leaf.center for leaf in leaves], dtype=np.float64)
     halves = np.array([leaf.half_width for leaf in leaves], dtype=np.float64)
-    finest = min(leaf.half_width for leaf in leaves)
-    cell = 2.0 * finest  # bin edge = finest box edge
-    bins: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    # Leaves below _ID_LEVELS register and probe at that level: its cells
+    # contain them, so the join stays complete, only coarser.
+    levels = np.minimum([leaf.depth for leaf in leaves], _ID_LEVELS)
 
-    def bin_range(leaf) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.floor((leaf.center - leaf.half_width) / cell - _SLACK).astype(int)
-        hi = np.floor((leaf.center + leaf.half_width) / cell + _SLACK).astype(int)
-        return lo, hi
+    pairs = _touching_pairs(centers, halves, levels)
+    bounds = np.searchsorted(pairs, np.arange(n + 1) * n).tolist()
+    pairs %= n  # key ``a * n + b`` -> neighbour ``b``
+    neighbours = pairs.tolist()
+    return [neighbours[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    for leaf in leaves:
-        lo, hi = bin_range(leaf)
-        for ix in range(lo[0], hi[0] + 1):
-            for iy in range(lo[1], hi[1] + 1):
-                for iz in range(lo[2], hi[2] + 1):
-                    bins[(ix, iy, iz)].append(leaf.index)
 
-    ulist: list[list[int]] = []
-    for leaf in leaves:
-        lo, hi = bin_range(leaf)
-        candidates: set[int] = set()
-        # Expand by one bin on each side: neighbours merely *touching* the
-        # box may live entirely in the adjacent bin.
-        for ix in range(lo[0] - 1, hi[0] + 2):
-            for iy in range(lo[1] - 1, hi[1] + 2):
-                for iz in range(lo[2] - 1, hi[2] + 2):
-                    candidates.update(bins.get((ix, iy, iz), ()))
-        # One vectorized box-overlap reduction over all candidates —
-        # identical arithmetic to `boxes_adjacent` per pair (same
-        # operand order: (h_a + h_b) + slack, |c_a - c_b|).
-        cand = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-        cand.sort()
-        limits = (leaf.half_width + halves[cand]) + _SLACK
-        touching = np.all(
-            np.abs(centers[cand] - leaf.center) <= limits[:, None], axis=1
-        )
-        ulist.append([int(i) for i in cand[touching]])
-    return ulist
+def _touching_pairs(
+    centers: np.ndarray, halves: np.ndarray, levels: np.ndarray
+) -> np.ndarray:
+    """Sorted keys ``a * n + b`` of every adjacent ordered leaf pair."""
+    n = len(levels)
+    a, b = _join(*_registrations(centers, levels), *_probes(centers, levels))
+    limits = (halves[a] + halves[b]) + _SLACK
+    touching = np.ones(a.size, dtype=bool)
+    for coord in centers.T:  # one axis at a time: fewer pair-sized temporaries
+        touching &= np.abs(coord[a] - coord[b]) <= limits
+    a, b = a[touching], b[touching]
+    # Each pair so far has level(a) <= level(b) and occurs once; a pair
+    # of one level was also found from its other side.  Mirror the rest.
+    mirror = levels[a] < levels[b]
+    pairs = np.concatenate([a * n + b, (b * n + a)[mirror]])
+    pairs.sort()
+    return pairs
+
+
+def _registrations(
+    centers: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ids and leaf indices: each leaf under its containing cell at
+    every leaf level down to its own.
+
+    A centre lies strictly inside each of its box's ancestors, so
+    ``floor(c * 2**level)`` is that cell, exactly.
+    """
+    probe_levels = np.unique(levels)
+    per_leaf = np.searchsorted(probe_levels, levels, side="right")
+    leaf = np.repeat(np.arange(len(levels)), per_leaf)
+    level = probe_levels[_ranges(per_leaf)]
+    return _cell_ids(_cells(centers[leaf], level), level), leaf
+
+
+def _probes(
+    centers: np.ndarray, levels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ids and leaf indices: the existing cells among the 27 around
+    each leaf's own.  An id is linear in the coordinates, so a
+    neighbour's id is the leaf's cell id plus its offset's."""
+    cells = _cells(centers, levels)
+    inside = np.ones((len(levels), len(_OFFSETS)), dtype=bool)
+    for axis in range(3):
+        coord = cells[:, axis, None] + _OFFSETS[:, axis]
+        inside &= (coord >= 0) & (coord < (1 << levels)[:, None])
+    shift = levels[:, None]
+    step = (((_OFFSETS[:, 0] << shift) + _OFFSETS[:, 1]) << shift) + _OFFSETS[:, 2]
+    leaf, slot = np.divmod(np.flatnonzero(inside), len(_OFFSETS))
+    return _cell_ids(cells, levels)[leaf] + step[leaf, slot], leaf
+
+
+def _join(
+    reg_ids: np.ndarray,
+    reg_leaf: np.ndarray,
+    probe_ids: np.ndarray,
+    probe_leaf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf pairs (prober, registered) for every registration whose cell
+    a probe names: one sort, two ``searchsorted`` calls."""
+    order = np.argsort(reg_ids, kind="stable")
+    sorted_ids = reg_ids[order]
+    first = np.searchsorted(sorted_ids, probe_ids, side="left")
+    hits = np.searchsorted(sorted_ids, probe_ids, side="right") - first
+    return (
+        np.repeat(probe_leaf, hits),
+        reg_leaf[order[np.repeat(first, hits) + _ranges(hits)]],
+    )
+
+
+def _cells(centers: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Integer coordinates of the level-``levels`` cells holding ``centers``."""
+    return np.floor(centers * np.ldexp(1.0, levels)[:, None]).astype(np.int64)
+
+
+def _cell_ids(cells: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Breadth-first ids of cells in a complete octree: unique across levels.
+
+    Level ``l`` holds ids ``(8**l - 1) / 7`` onwards, ``x, y, z`` in
+    ``l`` bits each.
+    """
+    base = ((1 << (3 * levels)) - 1) // 7
+    return base + (((cells[:, 0] << levels) + cells[:, 1]) << levels) + cells[:, 2]
+
+
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """``0..c-1`` for each count ``c``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -292,11 +292,10 @@ class IntensitySweep:
         ordered = sorted(intensities)
         kernels = self.build_kernels(ordered, launch=launch)
         points = [
-            SweepPoint(
-                requested_intensity=intensity,
-                measurement=self.session.measure(kernel),
+            SweepPoint(requested_intensity=intensity, measurement=measurement)
+            for intensity, measurement in zip(
+                ordered, self.session.measure_many(kernels)
             )
-            for intensity, kernel in zip(ordered, kernels)
         ]
         return SweepResult(
             device_name=self.truth.name,

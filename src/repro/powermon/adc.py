@@ -55,43 +55,83 @@ class ADCModel:
     def _convert(
         self,
         true_values: np.ndarray,
+        normals: np.ndarray | None,
         *,
         sigma: float,
         lsb: float,
         full_scale: float,
-        rng: np.random.Generator,
+        out: np.ndarray | None,
     ) -> np.ndarray:
         values = np.asarray(true_values, dtype=float)
         if np.any(values < 0):
             raise MeasurementError("true channel values must be non-negative")
-        gained = values * (1.0 + self.noise.gain_error)
+        readings = np.asarray(values * (1.0 + self.noise.gain_error))
         if sigma > 0:
-            gained = gained * (1.0 + rng.normal(0.0, sigma, size=gained.shape))
-        quantised = np.round(gained / lsb) * lsb
-        return np.clip(quantised, 0.0, full_scale)
+            # ``rng.normal(0, sigma, n)`` is ``0.0 + sigma * z`` draw for
+            # draw, and the ``0.0 +`` cannot change ``1.0 + ...``.
+            noise = np.asarray(sigma * normals)
+            noise += 1.0
+            readings = np.multiply(readings, noise, out=noise)
+        # Quantise and clip in place: the same operations as
+        # ``clip(round(readings / lsb) * lsb)``, without temporaries.
+        readings /= lsb
+        np.round(readings, out=readings)
+        readings *= lsb
+        return np.clip(readings, 0.0, full_scale, out=readings if out is None else out)
+
+    def convert_voltage(
+        self,
+        true_volts: np.ndarray,
+        normals: np.ndarray | None,
+        *,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Voltages through the ADC, given one standard normal per reading.
+
+        ``normals`` is ignored (and may be ``None``) when the profile's
+        voltage sigma is zero.  The readings take the broadcast shape of
+        the inputs, or are written to ``out``.
+        """
+        return self._convert(
+            true_volts,
+            normals,
+            sigma=self.noise.voltage_sigma,
+            lsb=self.voltage_lsb,
+            full_scale=self.full_scale_voltage,
+            out=out,
+        )
+
+    def convert_current(
+        self,
+        true_amps: np.ndarray,
+        normals: np.ndarray | None,
+        *,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Currents through the ADC, given one standard normal per reading."""
+        return self._convert(
+            true_amps,
+            normals,
+            sigma=self.noise.current_sigma,
+            lsb=self.current_lsb,
+            full_scale=self.full_scale_current,
+            out=out,
+        )
 
     def read_voltage(
         self, true_volts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sample voltages through the ADC."""
-        return self._convert(
-            true_volts,
-            sigma=self.noise.voltage_sigma,
-            lsb=self.voltage_lsb,
-            full_scale=self.full_scale_voltage,
-            rng=rng,
+        """Sample voltages through the ADC, drawing their noise from ``rng``."""
+        return self.convert_voltage(
+            true_volts, _draw(rng, self.noise.voltage_sigma, np.shape(true_volts))
         )
 
     def read_current(
         self, true_amps: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sample currents through the ADC."""
-        return self._convert(
-            true_amps,
-            sigma=self.noise.current_sigma,
-            lsb=self.current_lsb,
-            full_scale=self.full_scale_current,
-            rng=rng,
+        """Sample currents through the ADC, drawing their noise from ``rng``."""
+        return self.convert_current(
+            true_amps, _draw(rng, self.noise.current_sigma, np.shape(true_amps))
         )
 
     def worst_case_power_error(self, voltage: float, current: float) -> float:
@@ -103,3 +143,10 @@ class ADCModel:
         dv = 0.5 * self.voltage_lsb
         di = 0.5 * self.current_lsb
         return voltage * di + current * dv + dv * di
+
+
+def _draw(
+    rng: np.random.Generator, sigma: float, shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """One standard normal per reading; a noiseless conversion draws none."""
+    return rng.standard_normal(shape) if sigma > 0 else None

@@ -10,6 +10,7 @@ way: per-sample ``Σ V·I`` over channels, averaged, times duration.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,18 @@ from repro.config import (
 from repro.exceptions import SamplingError
 from repro.powermon.adc import ADCModel
 from repro.powermon.channels import RailSet
-from repro.simulator.trace import PowerTrace
+from repro.simulator.trace import PowerTrace, power_at_windows
 
-__all__ = ["SampleSet", "PowerMon2"]
+__all__ = ["SampleSet", "PowerMon2", "CHUNK_SAMPLES"]
+
+#: Most samples one pass of :meth:`PowerMon2.acquire_windows` converts.
+#: The readings go into arrays kept for the whole campaign; this bounds
+#: the noise draws and temporaries of a pass (32 KiB per float64 row,
+#: about six sweep windows), small enough for the allocator to recycle
+#: them between passes instead of mapping fresh pages.  On a fig4 sweep
+#: in a fresh interpreter 4096 beat 2**13 to 2**15, and 1024 (one window
+#: per pass) paid per-pass overhead.  A longer window is a pass alone.
+CHUNK_SAMPLES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -151,33 +161,165 @@ class PowerMon2:
         Samples land at ``start + k/sample_hz`` for ``k = 0..n-1`` over
         ``duration`` (default: the rest of the trace).  All channels
         sample synchronously, as the real device's aggregate scan does.
+        This is the one-window case of :meth:`acquire_windows`.
         """
-        self.validate_rates(len(rails), sample_hz)
         if duration is None:
             duration = trace.duration - start
-        if duration <= 0:
-            raise SamplingError(f"sampling window must be positive, got {duration}")
-        n = int(np.floor(duration * sample_hz))
-        if n < 1:
-            raise SamplingError(
-                f"window of {duration:.4g}s yields no samples at {sample_hz} Hz; "
-                "lengthen the run or raise the rate"
-            )
-        times = start + np.arange(n) / sample_hz
-        total_power = trace.power_at(times)
-        true_currents = rails.true_currents(total_power)
-
-        voltages = np.empty((len(rails), n))
-        currents = np.empty((len(rails), n))
-        for i, (channel, current) in enumerate(zip(rails.channels, true_currents)):
-            true_v = np.full(n, channel.nominal_voltage)
-            voltages[i] = self.adc.read_voltage(true_v, rng)
-            currents[i] = self.adc.read_current(current, rng)
-
-        return SampleSet(
-            timestamps=times,
-            voltages=voltages,
-            currents=currents,
-            channel_names=tuple(c.name for c in rails.channels),
-            sample_hz=sample_hz,
+        (samples,), _powers, _trailing = self.acquire_windows(
+            [(trace, start, duration)], rails, sample_hz=sample_hz, rng=rng
         )
+        return samples
+
+    def acquire_windows(
+        self,
+        windows: Sequence[tuple[PowerTrace, float, float]],
+        rails: RailSet,
+        *,
+        sample_hz: float,
+        rng: np.random.Generator,
+        trailing: int = 0,
+    ) -> tuple[list[SampleSet], list[float], np.ndarray]:
+        """Sample ``(trace, start, duration)`` windows in one campaign.
+
+        Every window is checked before anything is drawn.  ``rng`` then
+        serves the windows in order, each with the standard normals of
+        its noisy conversions, channel by channel as ``V0, I0, V1, I1,
+        ...`` (a conversion whose sigma is zero draws nothing), followed
+        by ``trailing`` normals the caller owns (the session's timer).
+        The draws are made in passes of at most :data:`CHUNK_SAMPLES`
+        samples; how windows fall into passes changes no value.
+
+        Returns the sample sets, their average powers (each the mean of
+        its own window's per-sample ``Σ V·I``, as
+        :meth:`SampleSet.average_power` computes it) and the trailing
+        normals shaped ``(len(windows), trailing)``.
+        """
+        self.validate_rates(len(rails), sample_hz)
+        counts = np.array(
+            [_window_samples(duration, sample_hz) for _, _, duration in windows],
+            dtype=np.int64,
+        )
+
+        # The readings of every window, side by side: one allocation each,
+        # so the kept sample sets are views into a few exact-size blocks.
+        ends = np.cumsum(counts)
+        offsets = ends - counts
+        total = int(ends[-1]) if counts.size else 0
+        times = np.empty(total)
+        voltages = np.empty((len(rails), total))
+        currents = np.empty((len(rails), total))
+        powers: list[float] = []
+        trailing_normals = [np.empty((0, trailing))]
+        first = 0
+        while first < len(windows):
+            last = first + 1
+            while last < len(windows) and ends[last] - offsets[first] <= CHUNK_SAMPLES:
+                last += 1
+            span = slice(offsets[first], ends[last - 1])
+            chunk_powers, chunk_trailing = self._acquire_chunk(
+                windows[first:last],
+                counts[first:last],
+                rails,
+                sample_hz,
+                rng,
+                trailing,
+                times=times[span],
+                voltages=voltages[:, span],
+                currents=currents[:, span],
+            )
+            powers += chunk_powers
+            trailing_normals.append(chunk_trailing)
+            first = last
+
+        names = tuple(c.name for c in rails.channels)
+        samples = [
+            SampleSet(
+                timestamps=times[lo:hi],
+                voltages=voltages[:, lo:hi],
+                currents=currents[:, lo:hi],
+                channel_names=names,
+                sample_hz=sample_hz,
+            )
+            for lo, hi in zip(offsets.tolist(), ends.tolist())
+        ]
+        return samples, powers, np.concatenate(trailing_normals)
+
+    def _acquire_chunk(
+        self,
+        windows: Sequence[tuple[PowerTrace, float, float]],
+        counts: np.ndarray,
+        rails: RailSet,
+        sample_hz: float,
+        rng: np.random.Generator,
+        trailing: int,
+        *,
+        times: np.ndarray,
+        voltages: np.ndarray,
+        currents: np.ndarray,
+    ) -> tuple[list[float], np.ndarray]:
+        """One pass of :meth:`acquire_windows` over consecutive windows.
+
+        Fills this pass's slices of the sample times and readings;
+        returns the windows' average powers and trailing normals.
+        """
+        n_ch = len(rails)
+        ends = np.cumsum(counts)
+        offsets = ends - counts
+        total = int(ends[-1])
+        local = np.arange(total) - np.repeat(offsets, counts)
+        starts = np.repeat(np.array([w[1] for w in windows], dtype=float), counts)
+        np.add(starts, local / sample_hz, out=times)
+        total_power = power_at_windows([w[0] for w in windows], times, counts)
+        true_currents = np.array(rails.true_currents(total_power))
+        # One true voltage per rail: the readings broadcast it over samples.
+        true_volts = np.array([[c.nominal_voltage] for c in rails.channels])
+
+        # Noise: per window, one block of ``n_ch * kinds`` rows of that
+        # window's length (rows V0, I0, V1, I1, ... for the noisy kinds),
+        # then the trailing draws.  The blocks are copied side by side
+        # into one (kind, channel, sample) array.
+        noisy_v = self.adc.noise.voltage_sigma > 0
+        noisy_i = self.adc.noise.current_sigma > 0
+        kinds = int(noisy_v) + int(noisy_i)
+        rows = n_ch * kinds
+        per_window = rows * counts + trailing
+        first_draw = np.cumsum(per_window) - per_window
+        z = rng.standard_normal(int(per_window.sum()))
+        volt_normals = amp_normals = None
+        if kinds:
+            normals = np.concatenate(
+                [
+                    z[d : d + rows * n].reshape(n_ch, kinds, n).transpose(1, 0, 2)
+                    for d, n in zip(first_draw.tolist(), counts.tolist())
+                ],
+                axis=2,
+            )
+            if noisy_v:
+                volt_normals = normals[0]
+            if noisy_i:
+                amp_normals = normals[kinds - 1]
+        self.adc.convert_voltage(true_volts, volt_normals, out=voltages)
+        self.adc.convert_current(true_currents, amp_normals, out=currents)
+        trailing_normals = z[
+            (first_draw + rows * counts)[:, None] + np.arange(trailing)
+        ]
+
+        power = np.sum(voltages * currents, axis=0)
+        powers = [
+            float(np.mean(power[lo:hi]))
+            for lo, hi in zip(offsets.tolist(), ends.tolist())
+        ]
+        return powers, trailing_normals
+
+
+def _window_samples(duration: float, sample_hz: float) -> int:
+    """Samples in a window of ``duration`` seconds; raises if none."""
+    if duration <= 0:
+        raise SamplingError(f"sampling window must be positive, got {duration}")
+    n = int(np.floor(duration * sample_hz))
+    if n < 1:
+        raise SamplingError(
+            f"window of {duration:.4g}s yields no samples at {sample_hz} Hz; "
+            "lengthen the run or raise the rate"
+        )
+    return n

@@ -123,46 +123,10 @@ class MeasurementSession:
         Raises :class:`MeasurementError` when the active window is too
         short to collect at least one sample per repetition on average —
         the practical "size your benchmark for the sampler" constraint
-        real PowerMon users face.
+        real PowerMon users face.  The one-kernel case of
+        :meth:`measure_many`.
         """
-        protocol = self.protocol
-        truth = self.device.execute(
-            kernel, cache_traffic=cache_traffic, efficiency=efficiency
-        )
-        trace = self.device.trace(
-            truth, repetitions=protocol.repetitions, ramp=1e-3, lead=0.0
-        )
-        samples_expected = trace.active_duration * protocol.sample_hz
-        if samples_expected < protocol.repetitions:
-            raise MeasurementError(
-                f"kernel {kernel.name!r} runs {to_milliseconds(truth.time):.3g} ms/rep: "
-                f"{samples_expected:.1f} samples over {protocol.repetitions} reps "
-                f"at {protocol.sample_hz} Hz is too sparse; increase work"
-            )
-
-        samples = self.powermon.acquire(
-            trace,
-            self.rails,
-            sample_hz=protocol.sample_hz,
-            rng=self.rng,
-            start=trace.t_plateau_start,
-            duration=trace.active_duration,
-        )
-
-        wall = trace.active_duration
-        if self._timer_noisy:
-            wall *= 1.0 + float(self.rng.normal(0.0, _TIMER_SIGMA))
-        energy_total = samples.average_power() * wall
-
-        return Measurement(
-            kernel=kernel,
-            repetitions=protocol.repetitions,
-            time=wall / protocol.repetitions,
-            energy=energy_total / protocol.repetitions,
-            average_power=samples.average_power(),
-            samples=samples,
-            truth=truth,
-        )
+        return self._campaign([kernel], [cache_traffic], [efficiency])[0]
 
     def measure_many(
         self,
@@ -170,14 +134,68 @@ class MeasurementSession:
         *,
         cache_traffic: list[float] | None = None,
     ) -> list[Measurement]:
-        """Measure a batch of kernels (e.g. an intensity sweep)."""
+        """Measure a batch of kernels (e.g. an intensity sweep).
+
+        One campaign: every kernel runs and is checked first, in order,
+        then all their windows are sampled in one batched acquisition.
+        The values, and the session's RNG state afterwards, are those
+        of measuring the kernels one by one with :meth:`measure`.
+        """
         if cache_traffic is None:
             cache_traffic = [0.0] * len(kernels)
         if len(cache_traffic) != len(kernels):
             raise MeasurementError(
                 "cache_traffic must have one entry per kernel"
             )
+        return self._campaign(kernels, cache_traffic, [None] * len(kernels))
+
+    def _campaign(
+        self,
+        kernels: Sequence[KernelSpec],
+        cache_traffic: Sequence[float],
+        efficiency: Sequence[float | None],
+    ) -> list[Measurement]:
+        protocol = self.protocol
+        runs = []
+        for kernel, traffic, eff in zip(kernels, cache_traffic, efficiency):
+            truth = self.device.execute(kernel, cache_traffic=traffic, efficiency=eff)
+            trace = self.device.trace(
+                truth, repetitions=protocol.repetitions, ramp=1e-3, lead=0.0
+            )
+            samples_expected = trace.active_duration * protocol.sample_hz
+            if samples_expected < protocol.repetitions:
+                raise MeasurementError(
+                    f"kernel {kernel.name!r} runs {to_milliseconds(truth.time):.3g} ms/rep: "
+                    f"{samples_expected:.1f} samples over {protocol.repetitions} reps "
+                    f"at {protocol.sample_hz} Hz is too sparse; increase work"
+                )
+            runs.append((truth, trace))
+
+        # Per window: the rail samples, then (on a noisy timer) one draw
+        # of wall-clock jitter.
+        samples, powers, timer = self.powermon.acquire_windows(
+            [(trace, trace.t_plateau_start, trace.active_duration) for _, trace in runs],
+            self.rails,
+            sample_hz=protocol.sample_hz,
+            rng=self.rng,
+            trailing=int(self._timer_noisy),
+        )
+        walls = np.array([trace.active_duration for _, trace in runs])
+        if self._timer_noisy:
+            walls = walls * (1.0 + _TIMER_SIGMA * timer[:, 0])
+
+        reps = protocol.repetitions
         return [
-            self.measure(kernel, cache_traffic=traffic)
-            for kernel, traffic in zip(kernels, cache_traffic)
+            Measurement(
+                kernel=kernel,
+                repetitions=reps,
+                time=wall / reps,
+                energy=power * wall / reps,
+                average_power=power,
+                samples=sampled,
+                truth=truth,
+            )
+            for kernel, (truth, _), sampled, power, wall in zip(
+                kernels, runs, samples, powers, walls.tolist()
+            )
         ]

@@ -33,7 +33,9 @@ from repro.exceptions import ServiceError
 from repro.service import wire as wireformat
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
+    BAD_REQUEST,
     INTERNAL,
+    MAX_LINE_BYTES,
     decode,
     encode,
     error_response,
@@ -166,8 +168,13 @@ class WireFrontend:
         """Bind the TCP listener; returns the bound (host, port)."""
         if self._tcp_server is not None:
             raise ServiceError(INTERNAL, "server already started")
+        # The NDJSON reader admits a whole MAX_LINE_BYTES line (asyncio's
+        # default limit is 64 KiB); decode answers anything longer.
         self._tcp_server = await asyncio.start_server(
-            self._on_connection, self._bind_host, self._bind_port
+            self._on_connection,
+            self._bind_host,
+            self._bind_port,
+            limit=MAX_LINE_BYTES,
         )
         address = self.address
         assert address is not None
@@ -230,6 +237,11 @@ class WireFrontend:
             while True:
                 try:
                     line = await reader.readline()
+                except ValueError:
+                    # Over the read limit: the rest of the line is still
+                    # unread, so there is no next line to resync on.
+                    await self._line_error(outbox)
+                    break
                 except (ConnectionError, asyncio.LimitOverrunError):
                     break
                 if not line:
@@ -356,6 +368,18 @@ class WireFrontend:
         envelope = error_response(None, wireformat.BAD_FRAME, message)
         await outbox.send(
             wireformat.encode_frame(wireformat.KIND_RESPONSE, seq, envelope)
+        )
+
+    async def _line_error(self, outbox: _Outbox) -> None:
+        """Answer an NDJSON line too long to read as :func:`decode`
+        answers an oversize line."""
+        self._frontend_errors.inc()
+        await outbox.send(
+            encode(
+                error_response(
+                    None, BAD_REQUEST, f"line exceeds {MAX_LINE_BYTES} bytes"
+                )
+            )
         )
 
     def _internal_error(

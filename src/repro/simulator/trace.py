@@ -13,13 +13,14 @@ the ablation bench can quantify the error at the paper's 128 Hz.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 
-__all__ = ["PowerTrace"]
+__all__ = ["PowerTrace", "power_at_windows"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,33 +85,16 @@ class PowerTrace:
 
     def power_at(self, t: float | np.ndarray) -> np.ndarray:
         """Instantaneous power at time(s) ``t`` (vectorised)."""
-        t = np.asarray(t, dtype=float)
-        p = np.full_like(t, self.idle_power)
-        delta = self.active_power - self.idle_power
-        if self.ramp > 0:
-            # Divide only where a ramp is actually in progress: np.where
-            # evaluates both branches, so an unguarded division computes
-            # (t - t0) / ramp far outside the ramp window too, overflowing
-            # for tiny ramps against distant sample times.
-            rising = (t >= self.t_rise_start) & (t < self.t_plateau_start)
-            frac = np.divide(
-                t - self.t_rise_start,
-                self.ramp,
-                out=np.zeros_like(t),
-                where=rising,
-            )
-            p = np.where(rising, self.idle_power + delta * frac, p)
-            falling = (t >= self.t_plateau_end) & (t < self.t_fall_end)
-            frac = np.divide(
-                t - self.t_plateau_end,
-                self.ramp,
-                out=np.zeros_like(t),
-                where=falling,
-            )
-            p = np.where(falling, self.active_power - delta * frac, p)
-        plateau = (t >= self.t_plateau_start) & (t < self.t_plateau_end)
-        p = np.where(plateau, self.active_power, p)
-        return p
+        return _piecewise_power(
+            np.asarray(t, dtype=float),
+            self.idle_power,
+            self.active_power,
+            self.t_rise_start,
+            self.t_plateau_start,
+            self.t_plateau_end,
+            self.t_fall_end,
+            self.ramp,
+        )
 
     def true_energy(self) -> float:
         """Exact integral of power over the whole trace (J).
@@ -131,3 +115,51 @@ class PowerTrace:
         idle lead are measurement-session artefacts.
         """
         return self.active_power * self.active_duration
+
+
+def power_at_windows(
+    traces: Sequence[PowerTrace], t: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """:meth:`PowerTrace.power_at` over concatenated sample windows.
+
+    The first ``counts[0]`` entries of ``t`` are times on ``traces[0]``,
+    the next ``counts[1]`` on ``traces[1]``, and so on.  Each sample
+    gets its own trace's parameters, so every value is the same IEEE
+    result ``power_at`` gives for that trace alone.
+    """
+
+    def per_sample(values: list[float]) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=float), counts)
+
+    return _piecewise_power(
+        t,
+        per_sample([tr.idle_power for tr in traces]),
+        per_sample([tr.active_power for tr in traces]),
+        per_sample([tr.t_rise_start for tr in traces]),
+        per_sample([tr.t_plateau_start for tr in traces]),
+        per_sample([tr.t_plateau_end for tr in traces]),
+        per_sample([tr.t_fall_end for tr in traces]),
+        per_sample([tr.ramp for tr in traces]),
+    )
+
+
+def _piecewise_power(t, idle, active, rise, top, top_end, fall_end, ramp):
+    """The idle → ramp → plateau → ramp → idle signal at times ``t``.
+
+    Parameters are scalars or arrays shaped like ``t``.  A zero ramp
+    needs no guard: its rise and fall windows ``[a, a + 0)`` are empty.
+    """
+    p = np.full_like(t, idle)
+    delta = active - idle
+    # Divide only where a ramp is actually in progress: np.where
+    # evaluates both branches, so an unguarded division computes
+    # (t - t0) / ramp far outside the ramp window too, overflowing
+    # for tiny ramps against distant sample times.
+    rising = (t >= rise) & (t < top)
+    frac = np.divide(t - rise, ramp, out=np.zeros_like(t), where=rising)
+    p = np.where(rising, idle + delta * frac, p)
+    falling = (t >= top_end) & (t < fall_end)
+    frac = np.divide(t - top_end, ramp, out=np.zeros_like(t), where=falling)
+    p = np.where(falling, active - delta * frac, p)
+    plateau = (t >= top) & (t < top_end)
+    return np.where(plateau, active, p)

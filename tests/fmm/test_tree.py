@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import TreeError
 from repro.fmm.points import clustered_cloud, uniform_cloud
-from repro.fmm.tree import Leaf, Octree
+from repro.fmm.tree import MAX_DEPTH, Leaf, Octree
 
 
 def build(n=300, q=20, seed=0, generator=uniform_cloud) -> Octree:
@@ -110,3 +112,88 @@ class TestValidation:
         positions, densities = uniform_cloud(10, seed=0)
         with pytest.raises(TreeError):
             Octree.build(positions, densities, leaf_capacity=0)
+
+
+def corrupted(tree: Octree, **changes) -> Octree:
+    """A raw tree over the same points with some fields replaced."""
+    fields = {
+        "positions": tree.positions,
+        "densities": tree.densities,
+        "leaf_capacity": tree.leaf_capacity,
+        "leaves": list(tree.leaves),
+        "nodes": tree.nodes,
+    }
+    fields.update(changes)
+    return Octree(**fields)
+
+
+class TestValidateCatchesCorruption:
+    """``validate`` checks every point against its own leaf's box in one
+    pass; each broken invariant still raises, naming the first
+    offending leaf."""
+
+    def test_overflow_names_first_overfull_leaf(self):
+        tree = build(n=600, q=20)
+        cap = int(np.median(tree.leaf_sizes()))
+        first = next(l for l in tree.leaves if l.size > cap)
+        with pytest.raises(TreeError, match=rf"leaf {first.index} overflows capacity "
+                           rf"\({first.size} > {cap}\)"):
+            corrupted(tree, leaf_capacity=cap).validate()
+
+    def test_overflow_allowed_at_the_depth_limit(self):
+        tree = build(n=600, q=20)
+        leaves = [replace(l, depth=MAX_DEPTH) for l in tree.leaves]
+        # Out-of-box is judged by the stored box, not the depth: valid.
+        corrupted(tree, leaf_capacity=1, leaves=leaves).validate()
+
+    def test_out_of_box_point_names_first_leaf_holding_one(self):
+        tree = build(n=600, q=20)
+        leaves = list(tree.leaves)
+        a, b = 2, len(leaves) - 1  # far apart in a uniform cloud
+        pa, pb = leaves[a].points.copy(), leaves[b].points.copy()
+        pa[0], pb[0] = pb[0], pa[0]
+        leaves[a] = replace(leaves[a], points=np.sort(pa))
+        leaves[b] = replace(leaves[b], points=np.sort(pb))
+        with pytest.raises(TreeError, match=rf"leaf {a} contains out-of-box points"):
+            corrupted(tree, leaves=leaves).validate()
+
+    def test_overflow_reported_before_out_of_box_in_one_leaf(self):
+        tree = build(n=600, q=20)
+        leaves = list(tree.leaves)
+        stray = leaves[-1].points[:1]
+        leaves[0] = replace(leaves[0], points=np.concatenate([leaves[0].points, stray]))
+        leaves[-1] = replace(leaves[-1], points=leaves[-1].points[1:])
+        with pytest.raises(TreeError, match="leaf 0 overflows capacity"):
+            corrupted(tree, leaves=leaves, leaf_capacity=leaves[0].size - 1).validate()
+        with pytest.raises(TreeError, match="leaf 0 contains out-of-box points"):
+            corrupted(tree, leaves=leaves, leaf_capacity=leaves[0].size).validate()
+
+    def test_missing_point(self):
+        tree = build(n=300, q=20)
+        leaves = list(tree.leaves)
+        leaves[1] = replace(leaves[1], points=leaves[1].points[1:])
+        with pytest.raises(TreeError, match="leaves cover 299 of 300 points"):
+            corrupted(tree, leaves=leaves).validate()
+
+    def test_duplicated_point(self):
+        tree = build(n=300, q=20)
+        leaves = list(tree.leaves)
+        twice = np.concatenate([leaves[1].points, leaves[1].points[:1]])
+        leaves[1] = replace(leaves[1], points=twice)
+        with pytest.raises(TreeError, match="leaves cover 300 of 300 points"):
+            corrupted(tree, leaves=leaves).validate()
+        # A duplicate standing in for a missing point.
+        swapped = leaves[1].points.copy()
+        swapped[1] = swapped[0]
+        leaves[1] = replace(leaves[1], points=swapped)
+        with pytest.raises(TreeError, match="leaves cover 299 of 300 points"):
+            corrupted(tree, leaves=leaves).validate()
+
+    def test_point_index_out_of_range(self):
+        tree = build(n=300, q=20)
+        leaves = list(tree.leaves)
+        bogus = leaves[1].points.copy()
+        bogus[-1] = 300
+        leaves[1] = replace(leaves[1], points=bogus)
+        with pytest.raises(TreeError, match="leaves cover 299 of 300 points"):
+            corrupted(tree, leaves=leaves).validate()

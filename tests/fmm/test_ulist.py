@@ -1,4 +1,4 @@
-"""U-list construction: hashed vs naive, symmetry, completeness."""
+"""U-list construction: sort-join vs naive, symmetry, completeness."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fmm.points import clustered_cloud, plummer_cloud, uniform_cloud
-from repro.fmm.tree import Octree
+from repro.fmm.tree import MAX_DEPTH, Octree
 from repro.fmm.ulist import boxes_adjacent, build_ulist, build_ulist_naive
 
 
@@ -47,8 +47,8 @@ class TestConstruction:
         dist=st.sampled_from([uniform_cloud, clustered_cloud, plummer_cloud]),
     )
     def test_hashed_matches_naive(self, n, q, seed, dist):
-        """The spatially hashed U-list equals the O(L^2) oracle on any
-        point distribution (including adaptive trees)."""
+        """The sort-join U-list equals the O(L^2) oracle on any point
+        distribution (including adaptive trees)."""
         positions, densities = dist(n, seed=seed)
         tree = Octree.build(positions, densities, leaf_capacity=q)
         assert build_ulist(tree) == build_ulist_naive(tree)
@@ -83,3 +83,67 @@ class TestConstruction:
     def test_mean_ulist_size_reasonable(self, small_ulist):
         mean = np.mean([len(u) for u in small_ulist])
         assert 4.0 < mean <= 27.0
+
+
+class TestEdgeCases:
+    """Trees whose shape strains the integer cell ids of the join."""
+
+    @staticmethod
+    def duplicates_and_scatter(max_depth: int) -> Octree:
+        """Duplicate points force one leaf down to ``max_depth`` while
+        scattered points keep coarse leaves beside it."""
+        scatter, _ = uniform_cloud(40, seed=1)
+        # Near the far corner: the largest cell coordinates at each level.
+        positions = np.vstack([np.tile([[0.97, 0.97, 0.97]], (30, 1)), scatter])
+        return Octree.build(
+            positions, np.ones(len(positions)), leaf_capacity=4, max_depth=max_depth
+        )
+
+    def test_duplicates_at_the_depth_limit(self):
+        tree = self.duplicates_and_scatter(MAX_DEPTH)
+        depths = {leaf.depth for leaf in tree.leaves}
+        assert MAX_DEPTH in depths and min(depths) <= 2
+        assert build_ulist(tree) == build_ulist_naive(tree)
+
+    def test_deeper_than_the_cell_id_levels(self):
+        """Leaves below level 20 join at their level-20 cell."""
+        tree = self.duplicates_and_scatter(26)
+        assert max(leaf.depth for leaf in tree.leaves) == 26
+        assert build_ulist(tree) == build_ulist_naive(tree)
+
+    def test_cell_ids_do_not_overflow_at_the_depth_limit(self):
+        """Breadth-first ids: level 20's last cell is the last int64 id used."""
+        from repro.fmm.ulist import _cell_ids
+
+        last = np.full((1, 3), 2**MAX_DEPTH - 1, dtype=np.int64)
+        ids = _cell_ids(last, np.array([MAX_DEPTH]))
+        assert int(ids[0]) == (8 ** (MAX_DEPTH + 1) - 1) // 7 - 1 < 2**63
+
+    def test_single_leaf_tree(self):
+        positions, densities = uniform_cloud(10, seed=2)
+        tree = Octree.build(positions, densities, leaf_capacity=64)
+        assert tree.n_leaves == 1
+        assert build_ulist(tree) == [[0]]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(50, 600),
+        q=st.integers(1, 12),
+        clusters=st.integers(1, 4),
+        spread=st.sampled_from([0.001, 0.005, 0.02]),
+        seed=st.integers(0, 1000),
+    )
+    def test_strongly_clustered_clouds(self, n, q, clusters, spread, seed):
+        positions, densities = clustered_cloud(
+            n, clusters=clusters, spread=spread, seed=seed
+        )
+        tree = Octree.build(positions, densities, leaf_capacity=q)
+        assert build_ulist(tree) == build_ulist_naive(tree)
+
+
+def test_fmm_report_geometry_at_64k_points():
+    """The study's 64 000-point geometry line, as the perf runs print it."""
+    from repro.experiments.fmm_study import run
+
+    text = run(n_points=64_000, max_variants=1).text
+    assert "n=64000 points, 4096 leaves (capacity 64), mean |U(B)| = 23.8" in text

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.powermon.device as powermon_device
 from repro.config import NOISELESS, MeasurementProtocol, NoiseProfile
 from repro.exceptions import MeasurementError, SamplingError
-from repro.powermon.channels import gpu_rails
-from repro.powermon.session import MeasurementSession
-from repro.simulator.device import SimulatedDevice, gtx580_truth
+from repro.microbench.sweep import IntensitySweep
+from repro.powermon.channels import atx_cpu_rails, gpu_rails
+from repro.powermon.device import SampleSet
+from repro.powermon.session import Measurement, MeasurementSession
+from repro.simulator.device import SimulatedDevice, gtx580_truth, i7_950_truth
 from repro.simulator.kernel import KernelSpec, Precision
 
 
@@ -115,3 +119,150 @@ class TestProtocolInteraction:
             sized_kernel(device)
         )
         assert a.energy != b.energy
+
+
+# ----------------------------------------------------------------------
+# The batched campaign: measure_many against one-by-one measurement
+# ----------------------------------------------------------------------
+
+RIGS = {
+    "gpu": (gtx580_truth, gpu_rails),
+    "cpu": (i7_950_truth, atx_cpu_rails),
+}
+NOISES = {
+    "default": NoiseProfile(),
+    "noiseless": NOISELESS,
+    "current-only": NoiseProfile(voltage_sigma=0.0, current_sigma=0.005),
+}
+
+
+def rig_kernels(rig: str, n: int) -> tuple[SimulatedDevice, list[KernelSpec]]:
+    """``n`` sweep kernels (about 640 samples each) for a rig."""
+    truth = RIGS[rig][0]()
+    sweep = IntensitySweep(truth, precision=Precision.SINGLE)
+    grid = np.geomspace(0.25, 64.0, n)
+    return sweep.device, sweep.build_kernels(grid)
+
+
+def rig_session(rig: str, device: SimulatedDevice, noise: NoiseProfile) -> MeasurementSession:
+    return MeasurementSession(device, RIGS[rig][1](), noise=noise, seed=17)
+
+
+def legacy_measure(session: MeasurementSession, kernel: KernelSpec) -> Measurement:
+    """The per-kernel protocol as one loop: the reference draw order.
+
+    Per kernel: each channel's voltage then current through the ADC,
+    each drawing ``rng.normal(0, sigma, n)`` when its sigma is
+    positive, then one timer draw on a noisy timer.
+    """
+    protocol, rng, adc = session.protocol, session.rng, session.powermon.adc
+    truth = session.device.execute(kernel)
+    trace = session.device.trace(truth, repetitions=protocol.repetitions)
+    n = int(np.floor(trace.active_duration * protocol.sample_hz))
+    times = trace.t_plateau_start + np.arange(n) / protocol.sample_hz
+    currents = session.rails.true_currents(trace.power_at(times))
+
+    def read(true, sigma, lsb, full_scale):
+        gained = true * (1.0 + adc.noise.gain_error)
+        if sigma > 0:
+            gained = gained * (1.0 + rng.normal(0.0, sigma, size=n))
+        return np.clip(np.round(gained / lsb) * lsb, 0.0, full_scale)
+
+    voltages = np.empty((len(session.rails), n))
+    amps = np.empty((len(session.rails), n))
+    for i, (channel, current) in enumerate(zip(session.rails.channels, currents)):
+        voltages[i] = read(np.full(n, channel.nominal_voltage), adc.noise.voltage_sigma,
+                           adc.voltage_lsb, adc.full_scale_voltage)
+        amps[i] = read(current, adc.noise.current_sigma, adc.current_lsb,
+                       adc.full_scale_current)
+    samples = SampleSet(times, voltages, amps,
+                        tuple(c.name for c in session.rails.channels),
+                        protocol.sample_hz)
+    wall = trace.active_duration
+    if session.noise.voltage_sigma > 0:
+        wall *= 1.0 + float(rng.normal(0.0, 1e-4))
+    power = samples.average_power()
+    return Measurement(kernel, protocol.repetitions, wall / protocol.repetitions,
+                       power * wall / protocol.repetitions, power, samples, truth)
+
+
+def assert_same_measurements(got: list[Measurement], want: list[Measurement]) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.kernel == w.kernel
+        assert g.truth == w.truth
+        assert g.repetitions == w.repetitions
+        # Bit-identical, not approximately equal.
+        assert (g.time, g.energy, g.average_power) == (w.time, w.energy, w.average_power)
+        assert g.average_power == g.samples.average_power()
+        assert g.samples.channel_names == w.samples.channel_names
+        assert g.samples.sample_hz == w.samples.sample_hz
+        for field in ("timestamps", "voltages", "currents"):
+            np.testing.assert_array_equal(
+                getattr(g.samples, field), getattr(w.samples, field), strict=True
+            )
+
+
+class TestBatchedCampaign:
+    """``measure_many`` samples every window in one batched acquisition;
+    values and the session's RNG state afterwards must equal measuring
+    one kernel at a time, bit for bit."""
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("rig", sorted(RIGS))
+    def test_batch_equals_one_by_one(self, rig, noise):
+        device, kernels = rig_kernels(rig, 12)
+        batched = rig_session(rig, device, NOISES[noise])
+        single = rig_session(rig, device, NOISES[noise])
+        got = batched.measure_many(kernels)
+        want = [single.measure(k) for k in kernels]
+        assert_same_measurements(got, want)
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
+
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("rig", sorted(RIGS))
+    def test_batch_equals_the_per_kernel_loop(self, rig, noise):
+        device, kernels = rig_kernels(rig, 12)
+        batched = rig_session(rig, device, NOISES[noise])
+        legacy = rig_session(rig, device, NOISES[noise])
+        got = batched.measure_many(kernels)
+        want = [legacy_measure(legacy, k) for k in kernels]
+        assert_same_measurements(got, want)
+        assert batched.rng.bit_generator.state == legacy.rng.bit_generator.state
+
+    def test_noiseless_campaign_draws_nothing(self):
+        device, kernels = rig_kernels("gpu", 4)
+        session = rig_session("gpu", device, NOISELESS)
+        before = session.rng.bit_generator.state
+        session.measure_many(kernels)
+        assert session.rng.bit_generator.state == before
+
+    def test_batch_spanning_several_passes(self, monkeypatch):
+        device, kernels = rig_kernels("gpu", 40)
+        single = rig_session("gpu", device, NoiseProfile())
+        want = [single.measure(k) for k in kernels]
+        assert sum(m.samples.n_samples for m in want) > powermon_device.CHUNK_SAMPLES
+        # The natural split, one window per pass (a budget below any
+        # window), and a few windows per pass.
+        for budget in (powermon_device.CHUNK_SAMPLES, 1, 2000):
+            monkeypatch.setattr(powermon_device, "CHUNK_SAMPLES", budget)
+            batched = rig_session("gpu", device, NoiseProfile())
+            assert_same_measurements(batched.measure_many(kernels), want)
+            assert batched.rng.bit_generator.state == single.rng.bit_generator.state
+
+    def test_too_sparse_kernel_in_a_batch_is_named(self, device):
+        session = MeasurementSession(device, gpu_rails())
+        tiny = KernelSpec.from_intensity(
+            4.0, work=1e6, precision=Precision.SINGLE, name="tiny-one"
+        )
+        kernels = [sized_kernel(device, 1.0), tiny, sized_kernel(device, 4.0)]
+        with pytest.raises(MeasurementError, match="'tiny-one'.*too sparse"):
+            session.measure_many(kernels)
+        with pytest.raises(MeasurementError, match="'tiny-one'.*too sparse"):
+            MeasurementSession(device, gpu_rails()).measure(tiny)
+
+    def test_empty_batch(self, device):
+        session = MeasurementSession(device, gpu_rails())
+        before = session.rng.bit_generator.state
+        assert session.measure_many([]) == []
+        assert session.rng.bit_generator.state == before

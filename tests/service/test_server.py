@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import socket
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.service.client import AsyncServiceClient, InProcessClient, ServiceCli
 from repro.service.engine import EVAL_METRICS, MODELS
 from repro.service.frontend import WireFrontend
 from repro.service.metrics import MetricsRegistry
-from repro.service.protocol import decode, encode, ok_response
+from repro.service.protocol import MAX_LINE_BYTES, decode, encode, ok_response
 from repro.service.server import ModelServer, ServerConfig
 
 MACHINES = ("gtx580-double", "i7-950-double")
@@ -864,6 +865,88 @@ class TestLongNdjsonReplies:
 
         error = run(scenario())
         assert "read limit" in error.message
+
+
+class TestLongNdjsonRequests:
+    """The server reads a request line up to the 1 MiB line bound over
+    NDJSON (not asyncio's 64 KiB default) and answers a longer one."""
+
+    @pytest.mark.parametrize("n_points", [12_000, 30_000])
+    def test_large_grid_over_ndjson_equals_binary(self, n_points):
+        grid = np.geomspace(0.125, 256.0, n_points).tolist()
+        body = {"op": "eval", "machine": MACHINES[0], "model": "power",
+                "metric": "power", "intensities": grid}
+
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            try:
+                async with asyncio.timeout(30.0):
+                    async with await AsyncServiceClient.connect(
+                        host, port
+                    ) as ndjson:
+                        over_ndjson = await ndjson.call(dict(body))
+                        sent = ndjson.bytes_sent
+                    async with await AsyncServiceClient.connect(
+                        host, port, wire="binary"
+                    ) as binary:
+                        over_binary = await binary.call(dict(body))
+            finally:
+                await server.stop()
+            return over_ndjson, sent, over_binary
+
+        over_ndjson, sent, over_binary = run(scenario())
+        assert sent > 64 * 1024
+        assert len(over_ndjson["values"]) == n_points
+        assert canonical_json(over_ndjson) == canonical_json(over_binary)
+
+    def test_line_over_the_bound_gets_one_bad_request_and_a_close(self):
+        line = b'{"op":"stats","pad":"' + b"x" * MAX_LINE_BYTES + b'"}\n'
+
+        def send_and_read_all(host: str, port: int) -> bytes:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                try:
+                    sock.sendall(line)
+                except OSError:
+                    pass  # the server may hang up before reading it all
+                received = b""
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:
+                        break  # unread request bytes make the close a reset
+                    if not chunk:
+                        break
+                    received += chunk
+                return received
+
+        async def scenario():
+            server = make_server()
+            host, port = await server.start()
+            try:
+                async with asyncio.timeout(30.0):
+                    received = await asyncio.to_thread(
+                        send_and_read_all, host, port
+                    )
+                    # The listener still serves after the hangup.
+                    async with await AsyncServiceClient.connect(
+                        host, port
+                    ) as client:
+                        stats = await client.call({"op": "stats"})
+            finally:
+                await server.stop()
+            return received, stats
+
+        received, stats = run(scenario())
+        assert received.count(b"\n") == 1
+        assert decode(received) == {
+            "ok": False,
+            "error": {
+                "code": "bad_request",
+                "message": f"line exceeds {MAX_LINE_BYTES} bytes",
+            },
+        }
+        assert stats["counters"]["errors_total"] == 1
 
 
 class _Raising(WireFrontend):
