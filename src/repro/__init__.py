@@ -24,12 +24,6 @@ from repro import machines
 from repro.core.algorithm import AlgorithmProfile
 from repro.core.balance import BalanceReport, BoundQuadrant, analyze, classify_quadrant
 from repro.core.energy_model import EnergyBreakdown, EnergyModel
-from repro.core.fitting import (
-    EnergySample,
-    FittedCoefficients,
-    fit_cache_energy,
-    fit_energy_coefficients,
-)
 from repro.core.multilevel import (
     HierarchicalProfile,
     MemoryHierarchy,
@@ -137,3 +131,24 @@ __all__ = [
     "MixedPrecisionAnalyzer",
     "PrecisionOutcome",
 ]
+
+# The fitting names load ``repro.core.fitting`` (and with it
+# ``scipy.special``) on first access, so processes that never fit, such as
+# the server, router and worker shards, import no scipy (PEP 562).
+_LAZY = frozenset(
+    {"EnergySample", "FittedCoefficients", "fit_energy_coefficients", "fit_cache_energy"}
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from repro.core import fitting
+
+        value = getattr(fitting, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY)

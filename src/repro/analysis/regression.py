@@ -3,8 +3,9 @@
 The paper fits eq. (9) "using the standard regression routine in R" and
 reports (footnote 8) R² near unity at p-values below 1e-14.  This module
 provides an equivalent: OLS via :func:`numpy.linalg.lstsq` plus standard
-errors, t statistics, two-sided p-values (Student's t via
-:func:`scipy.stats`), and R².
+errors, t statistics, two-sided p-values (Student's t survival function
+via :func:`scipy.special.stdtr`, the routine ``scipy.stats.t.sf`` calls,
+so the values are the same bits without importing ``scipy.stats``), and R².
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr as _stdtr
 
 from repro.exceptions import FittingError
 
@@ -138,7 +139,7 @@ def ols(
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, beta / std_errors, np.inf * np.sign(beta))
-    p_values = 2.0 * _scipy_stats.t.sf(np.abs(t_values), dof)
+    p_values = 2.0 * _stdtr(dof, -np.abs(t_values))
 
     tss = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 - rss / tss if tss > 0 else 1.0

@@ -72,7 +72,6 @@ import sys
 from pathlib import Path
 
 from repro.core.balance import analyze
-from repro.core.fitting import EnergySample, fit_energy_coefficients
 from repro.core.rooflines import (
     archline_series,
     powerline_series,
@@ -662,6 +661,8 @@ def _cmd_experiment(args: argparse.Namespace) -> str:
 
 
 def _cmd_fit(path: Path) -> str:
+    from repro.core.fitting import EnergySample, fit_energy_coefficients
+
     samples = []
     with path.open() as handle:
         reader = csv.DictReader(handle)

@@ -70,11 +70,20 @@ class CurveSeries:
 
     def at(self, intensity: float) -> float:
         """Log-log interpolated value at an arbitrary intensity."""
+        return float(self.at_many(np.array([intensity], dtype=float))[0])
+
+    def at_many(self, intensities: np.ndarray) -> np.ndarray:
+        """:meth:`at` at every element of a float array.
+
+        The final ``2**`` is libm's ``pow`` per element (numpy's
+        vectorised power may differ in the last bit), so each value has
+        the bits a scalar evaluation gives.
+        """
         x = np.log2(self.intensities)
         with np.errstate(divide="ignore"):
             y = np.log2(self.values)
-        out = np.interp(np.log2(intensity), x, y)
-        return float(2.0**out)
+        out = np.interp(np.log2(intensities), x, y)
+        return np.fromiter((2.0**v for v in out.tolist()), dtype=float, count=out.size)
 
     def normalized(self, denom: float, label: str | None = None) -> "CurveSeries":
         """Divide values by a constant (e.g. peak) to get a relative curve."""

@@ -12,6 +12,7 @@ the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,56 +80,50 @@ class SweepResult:
     # Array-native accessors (one gather, no per-point Python arithmetic)
     # ------------------------------------------------------------------
 
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        """Every per-point scalar the accessors read, gathered once.
+
+        The arrays are read-only: they are shared by every accessor call.
+        """
+        kernels = [p.measurement.kernel for p in self.points]
+        measurements = [p.measurement for p in self.points]
+        columns = {
+            "intensity": [k.intensity for k in kernels],
+            "work": [k.work for k in kernels],
+            "traffic": [k.traffic for k in kernels],
+            "time": [m.time for m in measurements],
+            "energy": [m.energy for m in measurements],
+            "average_power": [m.average_power for m in measurements],
+        }
+        gathered = {}
+        for name, column in columns.items():
+            gathered[name] = array = np.array(column, dtype=float)
+            array.flags.writeable = False
+        return gathered
+
     def intensities_array(self) -> np.ndarray:
         """Actual kernel intensities as a float array, sweep order."""
-        return np.fromiter(
-            (p.intensity for p in self.points), dtype=float, count=len(self.points)
-        )
-
-    def _gather(self, *attrs: str) -> tuple[np.ndarray, ...]:
-        """Column-gather measurement scalars into parallel arrays."""
-        n = len(self.points)
-        return tuple(
-            np.fromiter(
-                (getattr(p.measurement, a) for p in self.points), dtype=float, count=n
-            )
-            for a in attrs
-        )
+        return self._columns["intensity"].copy()
 
     def achieved_gflops_array(self) -> np.ndarray:
         """Measured arithmetic throughput per point (GFLOP/s)."""
-        (time,) = self._gather("time")
-        work = np.fromiter(
-            (p.measurement.kernel.work for p in self.points),
-            dtype=float,
-            count=len(self.points),
-        )
-        return flops_per_second_to_gflops(work / time)
+        c = self._columns
+        return flops_per_second_to_gflops(c["work"] / c["time"])
 
     def achieved_bandwidth_array(self) -> np.ndarray:
         """Measured DRAM bandwidth per point (GB/s)."""
-        (time,) = self._gather("time")
-        traffic = np.fromiter(
-            (p.measurement.kernel.traffic for p in self.points),
-            dtype=float,
-            count=len(self.points),
-        )
-        return bytes_per_second_to_gbytes(traffic / time)
+        c = self._columns
+        return bytes_per_second_to_gbytes(c["traffic"] / c["time"])
 
     def gflops_per_joule_array(self) -> np.ndarray:
         """Measured energy efficiency per point (GFLOP/J)."""
-        (energy,) = self._gather("energy")
-        work = np.fromiter(
-            (p.measurement.kernel.work for p in self.points),
-            dtype=float,
-            count=len(self.points),
-        )
-        return work / energy / GIGA
+        c = self._columns
+        return c["work"] / c["energy"] / GIGA
 
     def average_power_array(self) -> np.ndarray:
         """Measured average power per point (W)."""
-        (power,) = self._gather("average_power")
-        return power
+        return self._columns["average_power"].copy()
 
     @property
     def max_gflops(self) -> float:

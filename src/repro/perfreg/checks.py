@@ -16,9 +16,15 @@ answer must be void in both the trajectory and the gate.
 
 from __future__ import annotations
 
+import json
 import os
+import statistics
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -45,6 +51,7 @@ __all__ = [
     "MIN_WORKER_SPEEDUP",
     "measure_batch_sweep",
     "measure_cachesim_trace",
+    "measure_cold_start",
     "measure_cost_admission",
     "measure_micro_batching",
     "measure_router_path",
@@ -539,6 +546,84 @@ def measure_worker_pool(
 
 
 # ---------------------------------------------------------------------------
+# Cold start: a fresh interpreter up to its first answered request
+# ---------------------------------------------------------------------------
+
+#: The request each cold interpreter answers (and the parent re-derives).
+_COLD_REQUEST = ("gtx580-double", "energy", "energy_per_flop", 2.0)
+
+#: What a cold interpreter runs: import the serving stack and say so,
+#: then answer one request through an in-process server and print it.
+_COLD_START_SCRIPT = f"""\
+import repro.service
+print("imported", flush=True)
+import asyncio, json
+from repro.service import InProcessClient, ModelServer
+
+machine, model, metric, intensity = {_COLD_REQUEST!r}
+
+async def first_reply():
+    server = ModelServer()
+    value = await InProcessClient(server).eval(
+        machine, metric, model=model, intensity=intensity
+    )
+    await server.stop()
+    return value
+
+print(json.dumps(asyncio.run(first_reply())), flush=True)
+"""
+
+
+def _cold_start_once() -> tuple[float, float, float]:
+    """Launch one interpreter: (import_s, first_reply_s, reply value).
+
+    Both times run from the launch, on this process's clock, so they
+    include the interpreter's own start-up.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    started = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _COLD_START_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        assert proc.stdout is not None
+        if proc.stdout.readline().strip() != "imported":
+            raise SanityError("cold interpreter failed to import repro.service")
+        import_s = time.perf_counter() - started
+        reply = proc.stdout.readline()
+        first_reply_s = time.perf_counter() - started
+        if proc.wait(timeout=120) != 0 or not reply:
+            raise SanityError("cold interpreter exited without a reply")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    return import_s, first_reply_s, json.loads(reply)
+
+
+def measure_cold_start(*, spawns: int = 3) -> dict[str, float]:
+    """Median launch-to-import and launch-to-first-reply over ``spawns``
+    fresh interpreters.  Every reply must equal ``EvalEngine``'s."""
+    from repro.service.engine import EvalEngine
+
+    machine, model, metric, intensity = _COLD_REQUEST
+    expected = EvalEngine().eval_batch(machine, model, metric, [intensity]).tolist()[0]
+    runs = [_cold_start_once() for _ in range(spawns)]
+    if any(value != expected for _, _, value in runs):
+        raise SanityError("a cold server's first reply differs from EvalEngine's")
+    return {
+        "import_s": statistics.median(run[0] for run in runs),
+        "first_reply_s": statistics.median(run[1] for run in runs),
+    }
+
+
+# ---------------------------------------------------------------------------
 # The registered checks
 # ---------------------------------------------------------------------------
 
@@ -803,3 +888,26 @@ class WorkerPoolCheck(_ServingCheck):
             "pooled_rps": values["pooled"].throughput,
             "inloop_rps": values["inloop"].throughput,
         }
+
+
+@register
+class ColdStartCheck(PerfCheck):
+    """A fresh interpreter from launch to its first answered request.
+
+    Every server, router and worker shard pays this once per process
+    (spawned workers re-import the program).  ``import_s`` is the
+    launch-to-``import repro.service`` part; ``first_reply_s`` adds an
+    in-process server's construction and one request.
+    """
+
+    name = "service.cold_start"
+    area = "service"
+    #: Fresh interpreters per repetition (the repetition reports medians).
+    spawns = 3
+    metrics = (
+        Metric("import_s", "s", LOWER_IS_BETTER),
+        Metric("first_reply_s", "s", LOWER_IS_BETTER),
+    )
+
+    def run(self, ctx: CheckContext) -> Mapping[str, float]:
+        return measure_cold_start(spawns=self.spawns)

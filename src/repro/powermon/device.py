@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._heap import reserve_heap
 from repro.config import (
     POWERMON_MAX_AGGREGATE_HZ,
     POWERMON_MAX_CHANNELS,
@@ -31,7 +32,8 @@ __all__ = ["SampleSet", "PowerMon2", "CHUNK_SAMPLES"]
 #: The readings go into arrays kept for the whole campaign; this bounds
 #: the noise draws and temporaries of a pass (32 KiB per float64 row,
 #: about six sweep windows), small enough for the allocator to recycle
-#: them between passes instead of mapping fresh pages.  On a fig4 sweep
+#: them between passes instead of mapping fresh pages (with the
+#: thresholds :func:`repro._heap.reserve_heap` sets).  On a fig4 sweep
 #: in a fresh interpreter 4096 beat 2**13 to 2**15, and 1024 (one window
 #: per pass) paid per-pass overhead.  A longer window is a pass alone.
 CHUNK_SAMPLES = 1 << 12
@@ -195,6 +197,7 @@ class PowerMon2:
         normals shaped ``(len(windows), trailing)``.
         """
         self.validate_rates(len(rails), sample_hz)
+        reserve_heap()  # so a pass's temporaries are recycled, not re-faulted
         counts = np.array(
             [_window_samples(duration, sample_hz) for _, _, duration in windows],
             dtype=np.int64,

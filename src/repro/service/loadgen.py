@@ -496,7 +496,7 @@ async def _prepare(
         for machine in machines:
             instance.engine.machine(machine)  # fail fast on config errors
         if instance.pool is not None:
-            # Measure steady state, not the ~1 s/worker cold boot.
+            # Measure steady state, not the ~0.4 s/worker cold boot.
             await instance.pool.ready()
     return client, servers
 

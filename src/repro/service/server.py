@@ -45,6 +45,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro._heap import reserve_heap
 from repro.exceptions import ReproError, ServiceError
 from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
@@ -233,6 +234,7 @@ class ModelServer(WireFrontend):
     ):
         self.config = config or ServerConfig()
         _validate_config(self.config)
+        reserve_heap()  # large replies' temporaries would otherwise re-fault
         self.engine = engine or EvalEngine(
             plan_cache_size=self.config.plan_cache_size
         )

@@ -71,6 +71,7 @@ from multiprocessing import get_context
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
+from repro._heap import reserve_heap
 from repro.exceptions import ServiceError
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import (
@@ -229,6 +230,7 @@ def _worker_main(
     from repro.exceptions import ReproError
     from repro.service.engine import EvalEngine
 
+    reserve_heap()  # each job's temporaries would otherwise re-fault
     engine = (
         EvalEngine()
         if plan_cache_size is None

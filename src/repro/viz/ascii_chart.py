@@ -32,6 +32,16 @@ _SCATTER_GLYPH = "o"
 _MARKER_GLYPH = "|"
 
 
+def _log2(values: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each element.
+
+    numpy's vectorised ``log2`` may differ from libm's in the last bit,
+    which can move a glyph across a cell boundary; placing points with
+    libm keeps every chart byte-identical to one drawn point by point.
+    """
+    return np.fromiter(map(math.log2, values.tolist()), dtype=float, count=values.size)
+
+
 @dataclass
 class AsciiChart:
     """A character-grid chart with log-2 x and y axes.
@@ -94,41 +104,34 @@ class AsciiChart:
         if ly_hi - ly_lo < 1e-9:
             ly_hi = ly_lo + 1.0
 
-        grid = [[" "] * self.width for _ in range(self.height)]
+        grid = np.full((self.height, self.width), ord(" "), dtype=np.uint8)
 
-        def col(x: float) -> int:
-            frac = (math.log2(x) - lx_lo) / (lx_hi - lx_lo)
-            return min(self.width - 1, max(0, int(round(frac * (self.width - 1)))))
+        def cols(xs: np.ndarray) -> np.ndarray:
+            frac = (_log2(xs) - lx_lo) / (lx_hi - lx_lo)
+            return np.clip(np.rint(frac * (self.width - 1)), 0, self.width - 1).astype(np.intp)
 
-        def row(y: float) -> int | None:
-            if y <= 0:
-                return None
-            frac = (math.log2(y) - ly_lo) / (ly_hi - ly_lo)
-            r = int(round((1.0 - frac) * (self.height - 1)))
-            return min(self.height - 1, max(0, r))
+        def rows(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """Row of each positive ``y``, and the mask of those drawn."""
+            drawn = ys > 0
+            frac = (_log2(ys[drawn]) - ly_lo) / (ly_hi - ly_lo)
+            r = np.rint((1.0 - frac) * (self.height - 1))
+            return np.clip(r, 0, self.height - 1).astype(np.intp), drawn
 
-        for intensity in self._markers.values():
-            c = col(intensity)
-            for r in range(self.height):
-                grid[r][c] = _MARKER_GLYPH
+        if self._markers:
+            grid[:, cols(np.fromiter(self._markers.values(), dtype=float))] = ord(_MARKER_GLYPH)
 
+        # Dense resample in log-x so each curve line is visually continuous.
+        dense = np.exp2(np.linspace(lx_lo, lx_hi, self.width * 2))
+        dense_cols = cols(dense)
         for i, curve in enumerate(self._curves):
             glyph = _CURVE_GLYPHS[i % len(_CURVE_GLYPHS)]
-            # Dense resample in log-x so the line is visually continuous.
-            dense = np.exp2(np.linspace(lx_lo, lx_hi, self.width * 2))
-            lo, hi = curve.intensities[0], curve.intensities[-1]
-            for x in dense:
-                if not lo <= x <= hi:
-                    continue
-                r = row(curve.at(float(x)))
-                if r is not None:
-                    grid[r][col(float(x))] = glyph
+            inside = (curve.intensities[0] <= dense) & (dense <= curve.intensities[-1])
+            r, drawn = rows(curve.at_many(dense[inside]))
+            grid[r, dense_cols[inside][drawn]] = ord(glyph)
 
         for scatter in self._scatters:
-            for x, y in scatter.as_rows():
-                r = row(y)
-                if r is not None:
-                    grid[r][col(x)] = _SCATTER_GLYPH
+            r, drawn = rows(scatter.values)
+            grid[r, cols(scatter.intensities[drawn])] = ord(_SCATTER_GLYPH)
 
         lines: list[str] = []
         if self.title:
@@ -138,7 +141,7 @@ class AsciiChart:
         pad = max(len(top), len(bottom))
         for r, chars in enumerate(grid):
             label = top if r == 0 else bottom if r == self.height - 1 else ""
-            lines.append(f"{label:>{pad}} |{''.join(chars)}")
+            lines.append(f"{label:>{pad}} |{chars.tobytes().decode('ascii')}")
         lines.append(f"{'':>{pad}} +{'-' * self.width}")
         left = f"{x_lo:.3g}"
         right = f"{x_hi:.3g}"

@@ -156,11 +156,11 @@ def svg_chart(
         lo = float(curve.intensities[0])
         hi = float(curve.intensities[-1])
         dense = np.exp2(np.linspace(math.log2(lo), math.log2(hi), 160))
-        points = []
-        for x in dense:
-            y = curve.at(float(x))
-            if y > 0:
-                points.append(f"{px(float(x)):.1f},{py(y):.1f}")
+        points = [
+            f"{px(x):.1f},{py(y):.1f}"
+            for x, y in zip(dense.tolist(), curve.at_many(dense).tolist())
+            if y > 0
+        ]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" '
             f'points="{" ".join(points)}"/>'

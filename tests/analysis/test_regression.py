@@ -77,6 +77,42 @@ class TestDiagnostics:
         assert result.p_value("b") < 1e-10
 
 
+class TestPValueIdentity:
+    """``ols`` p-values are ``2·scipy.stats.t.sf(|t|, dof)`` bit for bit.
+
+    They are computed with ``scipy.special.stdtr`` (the routine
+    ``t.sf`` calls) so that fitting never imports ``scipy.stats``.
+    """
+
+    @staticmethod
+    def assert_identical(result):
+        expected = 2.0 * scipy_stats.t.sf(np.abs(result.t_values), result.dof)
+        assert result.p_values.dtype == expected.dtype
+        assert result.p_values.tobytes() == np.asarray(expected).tobytes()
+
+    def test_zero_std_error_gives_infinite_t(self):
+        result = ols(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.array([3.0, -2.0, 0.0]))
+        assert list(result.std_errors) == [0.0, 0.0]
+        assert list(result.t_values) == [np.inf, -np.inf]
+        self.assert_identical(result)
+
+    def test_zero_t(self):
+        result = ols(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([0.0, 3.0, 1.0]))
+        assert result.t_values[0] == 0.0 and result.std_errors[0] > 0
+        assert result.p_values[0] == 1.0
+        self.assert_identical(result)
+
+    @pytest.mark.parametrize("dof", [1, 2, 30, 10_000])
+    def test_noisy_fit(self, dof):
+        rng = np.random.default_rng(dof)
+        x = rng.uniform(0, 10, dof + 3)
+        X = np.column_stack([np.ones_like(x), x, rng.uniform(0, 1, x.size)])
+        y = 1.5 + 0.01 * x + rng.normal(0, 0.3, x.size)
+        result = ols(X, y)
+        assert result.dof == dof
+        self.assert_identical(result)
+
+
 class TestFailureModes:
     def test_rank_deficient(self):
         x = np.linspace(0, 1, 10)

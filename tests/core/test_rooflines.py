@@ -39,6 +39,18 @@ class TestCurveSeries:
         # log-log interpolation of y = x^2.
         assert series.at(2.0) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_at_many_has_the_scalar_bits(self, seed):
+        """Each element equals the scalar log-log formula, bit for bit."""
+        rng = np.random.default_rng(seed)
+        x = np.unique(np.exp2(rng.uniform(-6, 10, 200)))
+        series = CurveSeries("x", x, np.exp2(rng.uniform(-8, 4, x.size)))
+        queries = np.exp2(rng.uniform(-7, 11, 500))
+        log_x, log_y = np.log2(series.intensities), np.log2(series.values)
+        expected = [float(2.0 ** np.interp(np.log2(q), log_x, log_y)) for q in queries.tolist()]
+        assert series.at_many(queries).tolist() == expected
+        assert [series.at(q) for q in queries.tolist()] == expected
+
     def test_normalized(self):
         series = CurveSeries("x", np.array([1.0, 2.0]), np.array([10.0, 20.0]))
         norm = series.normalized(10.0, label="n")

@@ -52,3 +52,16 @@ class TestGoldenFig4Sweep:
         golden = load_golden("golden_fig4_coarse.json")
         for panel in ("gpu_double", "gpu_single", "cpu_double", "cpu_single"):
             assert any(k.startswith(panel) for k in golden["values"])
+
+
+class TestGoldenFig4Report:
+    """fig4's whole report, charts included, as the point-by-point renderer
+    and per-accessor sweep gathers drew it before both became array passes."""
+
+    def test_text_and_values_are_byte_identical(self):
+        golden = load_golden("golden_fig4_text.json")
+        result = run_experiment("fig4", **golden["kwargs"])
+        assert result.text == golden["text"]
+        assert json.dumps(result.values, sort_keys=True) == json.dumps(
+            golden["values"], sort_keys=True
+        )
