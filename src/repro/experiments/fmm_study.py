@@ -15,7 +15,7 @@ from repro.fmm.estimator import FmmEnergyStudy
 from repro.fmm.points import uniform_cloud
 from repro.fmm.tree import Octree
 from repro.fmm.ulist import build_ulist
-from repro.fmm.variants import generate_variants
+from repro.fmm.variants import generate_variants, reference_variant
 from repro.units import to_picojoules
 
 __all__ = ["run"]
@@ -28,14 +28,8 @@ def run(
     leaf_capacity: int = 64,
     seed: int = 3,
     max_variants: int | None = None,
-    jobs: int = 1,
 ) -> ExperimentResult:
-    """Run the study; ``max_variants`` trims the space for quick checks.
-
-    ``jobs > 1`` fans the variant measurements across worker processes
-    (results are identical for any job count — measurements are seeded
-    per variant).
-    """
+    """Run the study; ``max_variants`` trims the space for quick checks."""
     positions, densities = uniform_cloud(n_points, seed=seed)
     tree = Octree.build(positions, densities, leaf_capacity=leaf_capacity)
     tree.validate()
@@ -43,15 +37,13 @@ def run(
     variants = generate_variants()
     if max_variants is not None:
         # Keep the reference variant in the trimmed set: it anchors the fit.
-        from repro.fmm.variants import reference_variant
-
         trimmed = variants[:max_variants]
         if reference_variant() not in trimmed:
             trimmed.append(reference_variant())
         variants = trimmed
 
     study = FmmEnergyStudy(tree, ulist)
-    result = study.run(variants, jobs=jobs)
+    result = study.run(variants)
 
     mean_ulist = sum(len(u) for u in ulist) / len(ulist)
     text = "\n".join(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -83,14 +84,12 @@ def count_pairs(tree: Octree, ulist: list[list[int]]) -> int:
             f"ulist has {len(ulist)} entries for {tree.n_leaves} leaves"
         )
     sizes = np.asarray(tree.leaf_sizes(), dtype=np.int64)
-    counts = np.fromiter((len(u) for u in ulist), dtype=np.int64, count=len(ulist))
+    counts = np.fromiter(map(len, ulist), dtype=np.int64, count=len(ulist))
     total_neighbors = int(counts.sum())
     if total_neighbors == 0:
         return 0
     flat = np.fromiter(
-        (j for neighbors in ulist for j in neighbors),
-        dtype=np.int64,
-        count=total_neighbors,
+        chain.from_iterable(ulist), dtype=np.int64, count=total_neighbors
     )
     cumulative = np.append(0, np.cumsum(sizes[flat]))
     offsets = np.append(0, np.cumsum(counts))

@@ -24,8 +24,7 @@ kernels, and why :meth:`FmmEnergyStudy.run` reports those separately.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 
 import numpy as np
@@ -47,12 +46,6 @@ from repro.simulator.kernel import KernelSpec, Precision
 
 __all__ = ["VariantObservation", "StudyResult", "FmmEnergyStudy"]
 
-
-def _measure_chunk(
-    study: "FmmEnergyStudy", chunk: "list[Variant]"
-) -> "list[VariantObservation]":
-    """Worker-process entry point: measure one contiguous variant chunk."""
-    return [study.measure_variant(variant) for variant in chunk]
 
 #: Hidden-truth energy ratios relative to the device's blended
 #: ``eps_cache`` price.  An L1 byte is cheaper (small, close SRAM), an L2
@@ -159,8 +152,6 @@ class FmmEnergyStudy:
         self.truth = truth or gtx580_truth()
         self.machine = machine or gtx580_single()
         self.device = SimulatedDevice(self.truth)
-        self._protocol = protocol
-        self._noise = noise
         self._seed = seed
         self.session = MeasurementSession(
             self.device, gpu_rails(), protocol=protocol, noise=noise, seed=seed
@@ -171,21 +162,16 @@ class FmmEnergyStudy:
 
     # ------------------------------------------------------------------
 
-    def _variant_session(self, vid: str) -> MeasurementSession:
-        """A fresh measurement session seeded deterministically per variant.
+    def _variant_rng(self, vid: str) -> np.random.Generator:
+        """The RNG stream of one variant, seeded from ``(seed, vid)``.
 
-        Deriving the RNG stream from ``(seed, vid)`` rather than sharing
-        one session across the sweep makes every variant's measurement
-        independent of evaluation *order* — which is what lets
-        :meth:`run` split the variant list across worker processes and
-        still produce bit-identical results for any ``jobs`` count.
+        Every variant draws its measurement noise from its own stream
+        rather than from a generator shared across the sweep, so its
+        observation is independent of which variants are measured with
+        it and in what order.
         """
-        return MeasurementSession(
-            self.device,
-            gpu_rails(),
-            protocol=self._protocol,
-            noise=self._noise,
-            seed=[self._seed % (1 << 32), zlib.crc32(vid.encode("utf-8"))],
+        return np.random.default_rng(
+            [self._seed % (1 << 32), zlib.crc32(vid.encode("utf-8"))]
         )
 
     def _equivalent_cache_bytes(self, counters: TrafficCounters) -> float:
@@ -206,58 +192,64 @@ class FmmEnergyStudy:
     def measure_variant(self, variant: Variant) -> VariantObservation:
         """Measure one variant and compute its naive eq. (2) estimate.
 
-        Uses a per-variant RNG stream (see :meth:`_variant_session`), so
-        the result depends only on the variant and the study seed — not
-        on which variants were measured before it.
+        The one-variant case of the study's campaign (:meth:`_measure`).
         """
-        counters = count_traffic(
-            self.tree, self.ulist, variant, pairs=self._pairs
-        )
-        efficiency = variant.efficiency()
-        session = self._variant_session(variant.vid)
+        return self._measure([variant])[0]
 
-        # Size the run for the sampler: repeat the phase enough times that
-        # one measured repetition spans >= 1/ sample-rate comfortably.
-        protocol = session.protocol
-        flop_rate, _ = self.device.effective_rates(
-            KernelSpec(
-                name=variant.vid,
-                work=counters.work,
-                traffic=counters.q_dram,
-                precision=Precision.SINGLE,
-            ),
+    def _measure(self, variants: list[Variant]) -> list[VariantObservation]:
+        """Measure variants in one campaign; one observation per variant.
+
+        Each variant uses its own RNG stream (see :meth:`_variant_rng`),
+        so its observation depends only on the variant and the study
+        seed, not on the other variants or their order.
+        """
+        # Size each run for the sampler: repeat the phase enough times
+        # that one measured repetition spans >= 2 sample periods.
+        min_rep_time = 2.0 / self.session.protocol.sample_hz
+        counters, iterations, kernels, cache_traffic, efficiency = [], [], [], [], []
+        for variant in variants:
+            c = count_traffic(self.tree, self.ulist, variant, pairs=self._pairs)
+            eff = variant.efficiency()
+            phase = KernelSpec(
+                name=variant.vid, work=c.work, traffic=c.q_dram, precision=Precision.SINGLE
+            )
+            flop_rate, _ = self.device.effective_rates(phase, efficiency=eff)
+            reps = max(1, ceil(min_rep_time / (c.work / flop_rate)))
+            counters.append(c)
+            iterations.append(reps)
+            kernels.append(
+                replace(
+                    phase, name=f"fmm-{variant.vid}", work=c.work * reps, traffic=c.q_dram * reps
+                )
+            )
+            cache_traffic.append(self._equivalent_cache_bytes(c) * reps)
+            efficiency.append(eff)
+        measurements = self.session.measure_many(
+            kernels,
+            cache_traffic=cache_traffic,
             efficiency=efficiency,
+            rngs=[self._variant_rng(v.vid) for v in variants],
         )
-        phase_time = counters.work / flop_rate
-        min_rep_time = 2.0 / protocol.sample_hz
-        iterations = max(1, ceil(min_rep_time / phase_time))
-
-        kernel = KernelSpec(
-            name=f"fmm-{variant.vid}",
-            work=counters.work * iterations,
-            traffic=counters.q_dram * iterations,
-            precision=Precision.SINGLE,
-        )
-        measurement = session.measure(
-            kernel,
-            cache_traffic=self._equivalent_cache_bytes(counters) * iterations,
-            efficiency=efficiency,
-        )
-        time = measurement.time / iterations
-        energy = measurement.energy / iterations
-
-        naive = (
-            counters.work * self.machine.eps_flop
-            + counters.q_dram * self.machine.eps_mem
-            + self.machine.pi0 * time
-        )
-        return VariantObservation(
-            variant=variant,
-            counters=counters,
-            time=time,
-            measured_energy=energy,
-            naive_estimate=naive,
-        )
+        observations = []
+        for variant, c, reps, measurement in zip(
+            variants, counters, iterations, measurements
+        ):
+            time = measurement.time / reps
+            naive = (
+                c.work * self.machine.eps_flop
+                + c.q_dram * self.machine.eps_mem
+                + self.machine.pi0 * time
+            )
+            observations.append(
+                VariantObservation(
+                    variant=variant,
+                    counters=c,
+                    time=time,
+                    measured_energy=measurement.energy / reps,
+                    naive_estimate=naive,
+                )
+            )
+        return observations
 
     def fit_cache_cost(self, reference: VariantObservation) -> float:
         """§V-C's cache-energy fit from the reference implementation."""
@@ -271,44 +263,11 @@ class FmmEnergyStudy:
             [reference.counters.q_cache_visible],
         )
 
-    def _measure_all(
-        self, variants: list[Variant], jobs: int
-    ) -> list[VariantObservation]:
-        """Measure every variant, fanning across ``jobs`` processes.
-
-        Variants are split into one contiguous chunk per worker; each
-        worker receives a pickled copy of the study and measures its
-        chunk with :meth:`measure_variant`.  Because sessions are seeded
-        per variant, the observation list is identical — bit for bit —
-        to the sequential path, in the original variant order.
-        """
-        workers = min(jobs, len(variants))
-        if workers <= 1:
-            return [self.measure_variant(v) for v in variants]
-        bounds = np.linspace(0, len(variants), workers + 1).astype(int)
-        chunks = [
-            variants[lo:hi]
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        observations: list[VariantObservation] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_measure_chunk, [self] * len(chunks), chunks):
-                observations.extend(part)
-        return observations
-
-    def run(self, variants: list[Variant], *, jobs: int = 1) -> StudyResult:
-        """Execute the full study over a variant list.
-
-        ``jobs > 1`` measures the variants across that many worker
-        processes; results are identical to ``jobs=1`` for any job count
-        (measurements are seeded per variant, not per session).
-        """
+    def run(self, variants: list[Variant]) -> StudyResult:
+        """Execute the full study over a variant list, in one campaign."""
         if not variants:
             raise MeasurementError("need at least one variant")
-        if jobs < 1:
-            raise MeasurementError(f"jobs must be >= 1, got {jobs}")
-        observations = self._measure_all(variants, jobs)
+        observations = self._measure(variants)
 
         reference = next(
             (o for o in observations if o.variant == reference_variant()),
@@ -322,22 +281,14 @@ class FmmEnergyStudy:
             raise MeasurementError("no L1/L2-only variant to fit the cache cost on")
         eps_cache = self.fit_cache_cost(reference)
 
-        corrected: list[VariantObservation] = []
-        for obs in observations:
-            if obs.variant.uses_only_l1l2:
-                estimate = obs.naive_estimate + eps_cache * obs.counters.q_cache_visible
-                corrected.append(
-                    VariantObservation(
-                        variant=obs.variant,
-                        counters=obs.counters,
-                        time=obs.time,
-                        measured_energy=obs.measured_energy,
-                        naive_estimate=obs.naive_estimate,
-                        corrected_estimate=estimate,
-                    )
-                )
-            else:
-                corrected.append(obs)
+        corrected = [
+            replace(
+                o, corrected_estimate=o.naive_estimate + eps_cache * o.counters.q_cache_visible
+            )
+            if o.variant.uses_only_l1l2
+            else o
+            for o in observations
+        ]
 
         l1l2 = [o for o in corrected if o.variant.uses_only_l1l2]
         naive_summary = summarize_errors(

@@ -2,13 +2,17 @@
 
 The FMM arranges points in a spatial tree whose leaves hold at most
 ``q`` points (the user-selected leaf capacity of §V-C).  This is a
-straightforward pointer-free octree: nodes subdivide recursively until
-they fit the capacity or reach a depth limit (which handles duplicate
+pointer-free octree: a box splits into its non-empty octants until it
+fits the capacity or reaches a depth limit (which handles duplicate
 points gracefully), and only leaves retain point indices.
 
-The implementation is numpy-vectorised per node (octant assignment is a
-3-bit code computed for all points at once), following the
-"vectorise the inner loop" idiom rather than per-point recursion.
+The build is a handful of array passes, not a recursion.  Boxes are
+exact dyadic cells, so a point's octant at every level is a bit of its
+integer cell coordinates ``floor(pos * 2**max_depth)``.  One Morton sort
+of those coordinates puts every box's points in one contiguous run,
+children in octant order; the tree is then split one level at a time by
+counting each splitting box's points per octant.  Nodes come out in the
+preorder of the recursive definition, leaves in its depth-first order.
 """
 
 from __future__ import annotations
@@ -24,6 +28,16 @@ __all__ = ["Leaf", "Node", "Octree"]
 #: Default subdivision depth limit; 2^-20 boxes are far below any
 #: physically meaningful separation in the unit cube.
 MAX_DEPTH = 20
+
+#: Levels per int64 Morton key: three bits a level, 21 levels in 63
+#: bits.  A deeper tree sorts on one key per block of 21 levels.
+_KEY_LEVELS = 21
+
+#: The sign of each octant's centre offset along x, y, z: bit ``d`` of
+#: the octant is set iff the child lies on the high side of axis ``d``.
+_OCTANT_SIGNS = np.array(
+    [[1.0 if octant & (1 << d) else -1.0 for d in range(3)] for octant in range(8)]
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,7 +95,9 @@ class Octree:
 
     Build with :meth:`build`; the constructor is the raw container.
     ``leaves`` is the flat leaf list most consumers use; ``nodes`` is the
-    full hierarchical structure (root at index 0) for tree traversals.
+    full hierarchical structure (root at index 0, preorder) for tree
+    traversals.  ``max_depth`` is the subdivision cut-off the tree was
+    built with: only leaves at it may exceed the capacity.
     """
 
     positions: np.ndarray
@@ -89,6 +105,7 @@ class Octree:
     leaf_capacity: int
     leaves: list[Leaf] = field(default_factory=list)
     nodes: list[Node] = field(default_factory=list)
+    max_depth: int = MAX_DEPTH
 
     # ------------------------------------------------------------------
 
@@ -130,100 +147,83 @@ class Octree:
         if np.any(pos < 0.0) or np.any(pos >= 1.0):
             raise TreeError("positions must lie in [0, 1)^3")
 
-        tree = cls(positions=pos, densities=den, leaf_capacity=leaf_capacity)
-        root_center = np.full(3, 0.5)
-        tree._subdivide(
-            np.arange(pos.shape[0]), root_center, 0.5, depth=0, max_depth=max_depth
-        )
+        tree = cls(pos, den, leaf_capacity, max_depth=max_depth)
+        tree._build()
         return tree
 
-    def _subdivide(
-        self,
-        indices: np.ndarray,
-        center: np.ndarray,
-        half_width: float,
-        *,
-        depth: int,
-        max_depth: int,
-    ) -> int:
-        """Recursively split a box; record leaves and nodes.
+    def _build(self) -> None:
+        """Fill :attr:`leaves` and :attr:`nodes` (see the module notes)."""
+        n = self.n_points
+        keys = _morton_keys(self.positions, self.max_depth)
+        # Points sharing a finest cell may tie in any order: each leaf's
+        # points are sorted by index at the end.
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        keys = [key[order] for key in keys]
 
-        Returns the created node's index in :attr:`nodes` (-1 for empty
-        boxes, which create nothing).
-        """
-        if indices.size == 0:
-            return -1
-        node_index = len(self.nodes)
-        if indices.size <= self.leaf_capacity or depth >= max_depth:
-            leaf = Leaf(
-                index=len(self.leaves),
-                center=center.copy(),
-                half_width=half_width,
-                points=np.sort(indices),
-                depth=depth,
-            )
-            self.leaves.append(leaf)
-            self.nodes.append(
-                Node(
-                    index=node_index,
-                    center=center.copy(),
-                    half_width=half_width,
-                    depth=depth,
-                    children=(),
-                    leaf_index=leaf.index,
-                )
-            )
-            return node_index
-        # Reserve the slot so children index consistently after us.
-        self.nodes.append(
-            Node(
-                index=node_index,
-                center=center.copy(),
-                half_width=half_width,
-                depth=depth,
-                children=(),
-                leaf_index=None,
-            )
-        )
-        pts = self.positions[indices]
-        # 3-bit octant code per point: bit d set iff coordinate d >= centre.
-        codes = (
-            (pts[:, 0] >= center[0]).astype(np.int64)
-            | ((pts[:, 1] >= center[1]).astype(np.int64) << 1)
-            | ((pts[:, 2] >= center[2]).astype(np.int64) << 2)
-        )
-        quarter = half_width / 2.0
-        children: list[int] = []
-        for octant in range(8):
-            child_indices = indices[codes == octant]
-            if child_indices.size == 0:
-                continue
-            offset = np.array(
-                [
-                    quarter if octant & 1 else -quarter,
-                    quarter if octant & 2 else -quarter,
-                    quarter if octant & 4 else -quarter,
-                ]
-            )
-            child = self._subdivide(
-                child_indices,
-                center + offset,
-                quarter,
-                depth=depth + 1,
-                max_depth=max_depth,
-            )
-            if child >= 0:
-                children.append(child)
-        # Replace the reserved placeholder with the completed node.
-        self.nodes[node_index] = Node(
-            index=node_index,
-            center=center.copy(),
-            half_width=half_width,
-            depth=depth,
-            children=tuple(children),
-            leaf_index=None,
-        )
-        return node_index
+        # One level at a time: the boxes of that level as point ranges
+        # [start, end) of ``order``, with their centres and parent boxes
+        # (numbered level by level; the root's parent entry is unused).
+        start, end = np.array([0]), np.array([n])
+        center = np.full((1, 3), 0.5)
+        parent = np.array([0])
+        half = 0.5
+        levels = []
+        first_box = 0
+        for depth in range(self.max_depth + 1):
+            split = (end - start > self.leaf_capacity) & (depth < self.max_depth)
+            levels.append((start, end, center, parent, depth, half, split))
+            boxes = first_box + np.arange(start.size)
+            first_box += start.size
+            if not split.any():
+                break
+            start, end, center = start[split], end[split], center[split]
+            # The child octant of every point in a splitting box: its
+            # Morton digit at level ``depth + 1``.
+            block, level = divmod(depth, _KEY_LEVELS)
+            block_levels = min(_KEY_LEVELS, self.max_depth - block * _KEY_LEVELS)
+            sizes = end - start
+            box = np.repeat(np.arange(start.size), sizes)
+            point = np.arange(box.size) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+            digit = (keys[block][point] >> (3 * (block_levels - level - 1))) & 7
+            per_octant = np.bincount(box * 8 + digit, minlength=8 * start.size)
+            per_octant = per_octant.reshape(-1, 8)
+            child_end = start[:, None] + np.cumsum(per_octant, axis=1)
+            child_start = child_end - per_octant
+            occupied = per_octant > 0
+            half /= 2.0
+            parent = np.repeat(boxes[split], occupied.sum(axis=1))
+            center = (center[:, None, :] + _OCTANT_SIGNS * half)[occupied]
+            start, end = child_start[occupied], child_end[occupied]
+
+        # Preorder: by first point, ancestors before descendants.
+        starts, ends, centers, parents, depths, halves, splits = zip(*levels)
+        counts = [s.size for s in starts]
+        start = np.concatenate(starts)
+        depth = np.repeat(depths, counts)
+        preorder = np.lexsort((depth, start))
+        rank = np.empty_like(preorder)
+        rank[preorder] = np.arange(preorder.size)
+        start, depth = start[preorder], depth[preorder]
+        end = np.concatenate(ends)[preorder]
+        center = np.concatenate(centers)[preorder]
+        half = np.repeat(halves, counts)[preorder]
+        parent = rank[np.concatenate(parents)[preorder]]
+        is_leaf = ~np.concatenate(splits)[preorder]
+
+        # Each leaf's points as ascending indices: sort (leaf, index) keys.
+        leaf_of = np.repeat(np.arange(is_leaf.sum()), (end - start)[is_leaf]) * n
+        points = np.sort(leaf_of + order) - leaf_of
+
+        children: list[list[int]] = [[] for _ in range(preorder.size)]
+        for child, up in enumerate(parent[1:].tolist(), start=1):
+            children[up].append(child)
+        leaf_index = (np.cumsum(is_leaf) - 1).tolist()
+        rows = zip(start.tolist(), end.tolist(), depth.tolist(), half.tolist(), is_leaf.tolist())
+        for i, (lo, hi, d, h, leaf) in enumerate(rows):
+            li = leaf_index[i] if leaf else None
+            if leaf:
+                self.leaves.append(Leaf(li, center[i], h, points[lo:hi], d))
+            self.nodes.append(Node(i, center[i], h, d, tuple(children[i]), li))
 
     # ------------------------------------------------------------------
 
@@ -268,7 +268,7 @@ class Octree:
         if not self.leaves:
             return
         depths = np.array([leaf.depth for leaf in self.leaves])
-        over = (sizes > self.leaf_capacity) & (depths < MAX_DEPTH)
+        over = (sizes > self.leaf_capacity) & (depths < self.max_depth)
         # Half-open boxes: [c-h, c+h); points sit strictly inside up to fp
         # slack.  Each point meets its own leaf's box, one axis at a time.
         centers = np.array([leaf.center for leaf in self.leaves])
@@ -293,3 +293,37 @@ class Octree:
             raise TreeError(
                 f"leaf {self.leaves[first_out].index} contains out-of-box points"
             )
+
+
+def _morton_keys(positions: np.ndarray, max_depth: int) -> list[np.ndarray]:
+    """Morton keys of every point's depth-``max_depth`` cell.
+
+    One int64 key per block of :data:`_KEY_LEVELS` levels, coarsest
+    block first (a depth-0 tree gets one all-zero key); within a key, a
+    level is three bits ``x | y << 1 | z << 2``, coarsest level highest.
+    Cell coordinates are exact at any depth: each block scales what is
+    left of the coordinates by a power of two and takes the integer
+    part, and neither step rounds.
+    """
+    keys = []
+    frac = positions
+    for top in range(0, max(max_depth, 1), _KEY_LEVELS):
+        levels = min(_KEY_LEVELS, max_depth - top)
+        scaled = np.ldexp(frac, levels)
+        cells = scaled.astype(np.int64)  # truncation is floor: scaled >= 0
+        frac = scaled - cells
+        keys.append(
+            _spread_bits(cells[:, 0])
+            | (_spread_bits(cells[:, 1]) << 1)
+            | (_spread_bits(cells[:, 2]) << 2)
+        )
+    return keys
+
+
+def _spread_bits(v: np.ndarray) -> np.ndarray:
+    """Move bit ``i`` of each (< 2**21) value to bit ``3 i``."""
+    v = (v | (v << 32)) & 0x1F00000000FFFF
+    v = (v | (v << 16)) & 0x1F0000FF0000FF
+    v = (v | (v << 8)) & 0x100F00F00F00F00F
+    v = (v | (v << 4)) & 0x10C30C30C30C30C3
+    return (v | (v << 2)) & 0x1249249249249249

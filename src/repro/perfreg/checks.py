@@ -233,6 +233,45 @@ def measure_cachesim_trace(
 
 
 # ---------------------------------------------------------------------------
+# The §V-C FMM study, phase by phase
+# ---------------------------------------------------------------------------
+
+
+def measure_fmm_study(
+    *, n_points: int = 64_000, leaf_capacity: int = 64, seed: int = 3
+) -> tuple[dict[str, float], float]:
+    """Time one run of the fmm experiment's pipeline by phase.
+
+    The octree build, the U-list join and the 390-variant study
+    (constructor and :meth:`~repro.fmm.estimator.FmmEnergyStudy.run`);
+    ``total_ms`` spans all three.  Also returns the fitted cache cost
+    (pJ/B) for the sanity check.
+    """
+    from repro.fmm.estimator import FmmEnergyStudy
+    from repro.fmm.points import uniform_cloud
+    from repro.fmm.tree import Octree
+    from repro.fmm.ulist import build_ulist
+    from repro.fmm.variants import generate_variants
+
+    positions, densities = uniform_cloud(n_points, seed=seed)
+    variants = generate_variants()
+    t0 = time.perf_counter()
+    tree = Octree.build(positions, densities, leaf_capacity=leaf_capacity)
+    t1 = time.perf_counter()
+    ulist = build_ulist(tree)
+    t2 = time.perf_counter()
+    result = FmmEnergyStudy(tree, ulist).run(variants)
+    t3 = time.perf_counter()
+    times = {
+        "tree_ms": units.to_milliseconds(t1 - t0),
+        "ulist_ms": units.to_milliseconds(t2 - t1),
+        "study_ms": units.to_milliseconds(t3 - t2),
+        "total_ms": units.to_milliseconds(t3 - t0),
+    }
+    return times, units.to_picojoules(result.eps_cache_fit)
+
+
+# ---------------------------------------------------------------------------
 # Serving (shared with benchmarks/test_bench_service.py)
 # ---------------------------------------------------------------------------
 
@@ -678,6 +717,37 @@ class CachesimTraceCheck(PerfCheck):
         )
         values.pop("accesses")
         return values
+
+
+@register
+class FmmStudyCheck(PerfCheck):
+    """The §V-C FMM study at perfbench's size: octree, U-lists, study."""
+
+    name = "experiments.fmm"
+    area = "batch"
+    params = {"n_points": (64_000,)}
+    metrics = (
+        Metric("total_ms", "ms", LOWER_IS_BETTER),
+        Metric("tree_ms", "ms", LOWER_IS_BETTER),
+        Metric("ulist_ms", "ms", LOWER_IS_BETTER),
+        Metric("study_ms", "ms", LOWER_IS_BETTER),
+    )
+    #: The paper's fitted cache cost, and the band a run must land in.
+    paper_pj, tolerance = 187.0, 0.05
+
+    def run(self, ctx: CheckContext) -> Mapping[str, float]:
+        times, ctx.state["eps_cache_pj"] = measure_fmm_study(
+            n_points=ctx.params["n_points"]
+        )
+        return times
+
+    def sanity(self, ctx: CheckContext, values: Mapping[str, float]) -> None:
+        fitted = ctx.state["eps_cache_pj"]
+        if abs(fitted - self.paper_pj) > self.tolerance * self.paper_pj:
+            raise SanityError(
+                f"fitted cache cost {fitted:.1f} pJ/B is not within "
+                f"{self.tolerance:.0%} of the paper's {self.paper_pj} pJ/B"
+            )
 
 
 class _ServingCheck(PerfCheck):

@@ -168,7 +168,7 @@ class PowerMon2:
         if duration is None:
             duration = trace.duration - start
         (samples,), _powers, _trailing = self.acquire_windows(
-            [(trace, start, duration)], rails, sample_hz=sample_hz, rng=rng
+            [(trace, start, duration)], rails, sample_hz=sample_hz, rngs=[rng]
         )
         return samples
 
@@ -178,17 +178,19 @@ class PowerMon2:
         rails: RailSet,
         *,
         sample_hz: float,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         trailing: int = 0,
     ) -> tuple[list[SampleSet], list[float], np.ndarray]:
         """Sample ``(trace, start, duration)`` windows in one campaign.
 
-        Every window is checked before anything is drawn.  ``rng`` then
-        serves the windows in order, each with the standard normals of
-        its noisy conversions, channel by channel as ``V0, I0, V1, I1,
-        ...`` (a conversion whose sigma is zero draws nothing), followed
-        by ``trailing`` normals the caller owns (the session's timer).
-        The draws are made in passes of at most :data:`CHUNK_SAMPLES`
+        Every window is checked before anything is drawn.  Then each
+        window draws from its own generator, ``rngs[i]``, in window
+        order: the standard normals of its noisy conversions, channel by
+        channel as ``V0, I0, V1, I1, ...`` (a conversion whose sigma is
+        zero draws nothing), followed by ``trailing`` normals the caller
+        owns (the session's timer).  Windows may share a generator: one
+        generator passed for every window serves them in order.  The
+        draws are made in passes of at most :data:`CHUNK_SAMPLES`
         samples; how windows fall into passes changes no value.
 
         Returns the sample sets, their average powers (each the mean of
@@ -197,6 +199,8 @@ class PowerMon2:
         normals shaped ``(len(windows), trailing)``.
         """
         self.validate_rates(len(rails), sample_hz)
+        if len(rngs) != len(windows):
+            raise SamplingError("need one generator per window")
         reserve_heap()  # so a pass's temporaries are recycled, not re-faulted
         counts = np.array(
             [_window_samples(duration, sample_hz) for _, _, duration in windows],
@@ -224,7 +228,7 @@ class PowerMon2:
                 counts[first:last],
                 rails,
                 sample_hz,
-                rng,
+                rngs[first:last],
                 trailing,
                 times=times[span],
                 voltages=voltages[:, span],
@@ -253,7 +257,7 @@ class PowerMon2:
         counts: np.ndarray,
         rails: RailSet,
         sample_hz: float,
-        rng: np.random.Generator,
+        rngs: Sequence[np.random.Generator],
         trailing: int,
         *,
         times: np.ndarray,
@@ -279,15 +283,21 @@ class PowerMon2:
 
         # Noise: per window, one block of ``n_ch * kinds`` rows of that
         # window's length (rows V0, I0, V1, I1, ... for the noisy kinds),
-        # then the trailing draws.  The blocks are copied side by side
-        # into one (kind, channel, sample) array.
+        # then the trailing draws, drawn from the window's generator into
+        # its slice of ``z``.  The blocks are copied side by side into
+        # one (kind, channel, sample) array.
         noisy_v = self.adc.noise.voltage_sigma > 0
         noisy_i = self.adc.noise.current_sigma > 0
         kinds = int(noisy_v) + int(noisy_i)
         rows = n_ch * kinds
         per_window = rows * counts + trailing
-        first_draw = np.cumsum(per_window) - per_window
-        z = rng.standard_normal(int(per_window.sum()))
+        last_draw = np.cumsum(per_window)
+        first_draw = last_draw - per_window
+        z = np.empty(int(last_draw[-1]))
+        # One call per run of windows sharing a generator: the same draws.
+        cuts = [i for i in range(1, len(rngs)) if rngs[i] is not rngs[i - 1]]
+        for lo, hi in zip([0] + cuts, cuts + [len(rngs)]):
+            rngs[lo].standard_normal(out=z[first_draw[lo] : last_draw[hi - 1]])
         volt_normals = amp_normals = None
         if kinds:
             normals = np.concatenate(

@@ -126,35 +126,40 @@ class MeasurementSession:
         real PowerMon users face.  The one-kernel case of
         :meth:`measure_many`.
         """
-        return self._campaign([kernel], [cache_traffic], [efficiency])[0]
+        return self.measure_many(
+            [kernel], cache_traffic=[cache_traffic], efficiency=[efficiency]
+        )[0]
 
     def measure_many(
         self,
-        kernels: list[KernelSpec],
+        kernels: Sequence[KernelSpec],
         *,
-        cache_traffic: list[float] | None = None,
+        cache_traffic: Sequence[float] | None = None,
+        efficiency: Sequence[float | None] | None = None,
+        rngs: Sequence[np.random.Generator] | None = None,
     ) -> list[Measurement]:
         """Measure a batch of kernels (e.g. an intensity sweep).
 
         One campaign: every kernel runs and is checked first, in order,
         then all their windows are sampled in one batched acquisition.
-        The values, and the session's RNG state afterwards, are those
-        of measuring the kernels one by one with :meth:`measure`.
+        ``cache_traffic`` and ``efficiency`` are per kernel, as for
+        :meth:`measure`.  Each kernel draws its noise from ``rngs[i]``
+        (default: the session's generator for every kernel), so every
+        value, and each generator's state afterwards, is that of
+        measuring the kernels one by one with :meth:`measure` on
+        sessions holding those generators.
         """
-        if cache_traffic is None:
-            cache_traffic = [0.0] * len(kernels)
-        if len(cache_traffic) != len(kernels):
-            raise MeasurementError(
-                "cache_traffic must have one entry per kernel"
-            )
-        return self._campaign(kernels, cache_traffic, [None] * len(kernels))
-
-    def _campaign(
-        self,
-        kernels: Sequence[KernelSpec],
-        cache_traffic: Sequence[float],
-        efficiency: Sequence[float | None],
-    ) -> list[Measurement]:
+        n = len(kernels)
+        cache_traffic = [0.0] * n if cache_traffic is None else cache_traffic
+        efficiency = [None] * n if efficiency is None else efficiency
+        rngs = [self.rng] * n if rngs is None else rngs
+        for name, values in (
+            ("cache_traffic", cache_traffic),
+            ("efficiency", efficiency),
+            ("rngs", rngs),
+        ):
+            if len(values) != n:
+                raise MeasurementError(f"{name} must have one entry per kernel")
         protocol = self.protocol
         runs = []
         for kernel, traffic, eff in zip(kernels, cache_traffic, efficiency):
@@ -177,7 +182,7 @@ class MeasurementSession:
             [(trace, trace.t_plateau_start, trace.active_duration) for _, trace in runs],
             self.rails,
             sample_hz=protocol.sample_hz,
-            rng=self.rng,
+            rngs=rngs,
             trailing=int(self._timer_noisy),
         )
         walls = np.array([trace.active_duration for _, trace in runs])

@@ -65,3 +65,17 @@ class TestGoldenFig4Report:
         assert json.dumps(result.values, sort_keys=True) == json.dumps(
             golden["values"], sort_keys=True
         )
+
+
+class TestGoldenFmmStudy:
+    """The full 390-variant §V-C study at the default 4 000 points, as the
+    recursive octree and one measurement session per variant gave it."""
+
+    def test_text_and_values_are_byte_identical(self):
+        golden = load_golden("golden_fmm.json")
+        result = run_experiment("fmm", **golden["kwargs"])
+        assert result.text == golden["text"]
+        assert json.dumps(result.values, sort_keys=True) == json.dumps(
+            golden["values"], sort_keys=True
+        )
+        assert golden["values"]["n_variants"] == 390.0

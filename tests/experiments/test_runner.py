@@ -130,6 +130,27 @@ class TestKwargFiltering:
         assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+class TestJobsForwarding:
+    def test_jobs_reaches_only_experiments_that_accept_it(self, monkeypatch):
+        """The FMM study takes no ``jobs``: a runner with a job budget
+        still runs it, with the values of a one-job runner."""
+        import repro.experiments.registry as registry
+
+        seen = []
+        real = registry.run_experiment
+
+        def spy(experiment_id, **kwargs):
+            seen.append(kwargs)
+            return real(experiment_id, **kwargs)
+
+        monkeypatch.setattr("repro.experiments.runner.run_experiment", spy)
+        kwargs = {"n_points": 600, "max_variants": 4}
+        parallel = ExperimentRunner(jobs=2).run("fmm", **kwargs)
+        serial = ExperimentRunner().run("fmm", **kwargs)
+        assert seen == [kwargs, kwargs]
+        assert parallel == serial
+
+
 class TestValidation:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ExperimentError):

@@ -106,8 +106,9 @@ class TestStudyRun:
             study.run([Variant("s", MemoryPath.SHARED, 128, 32, 1, 1)])
 
 
-class TestParallelStudy:
-    """jobs > 1 must be a pure wall-time optimisation: identical results."""
+class TestOneCampaign:
+    """The study measures every variant in one campaign, each variant on
+    its own RNG stream."""
 
     @pytest.fixture(scope="class")
     def variants(self):
@@ -115,17 +116,6 @@ class TestParallelStudy:
         if reference_variant() not in subset:
             subset.append(reference_variant())
         return subset
-
-    def test_jobs_bit_identical(self, study, variants):
-        serial = study.run(variants)
-        parallel = study.run(variants, jobs=3)
-        assert parallel.eps_cache_fit == serial.eps_cache_fit
-        for a, b in zip(serial.observations, parallel.observations):
-            assert a.variant == b.variant
-            assert a.time == b.time
-            assert a.measured_energy == b.measured_energy
-            assert a.naive_estimate == b.naive_estimate
-            assert a.corrected_estimate == b.corrected_estimate
 
     def test_measurements_order_independent(self, study, variants):
         """Per-variant seeding: each observation depends only on its
@@ -138,9 +128,14 @@ class TestParallelStudy:
             assert obs.measured_energy == other.measured_energy
             assert obs.time == other.time
 
-    def test_rejects_nonpositive_jobs(self, study):
-        with pytest.raises(MeasurementError):
-            study.run([reference_variant()], jobs=0)
+    def test_campaign_equals_one_variant_at_a_time(self, study, variants):
+        together = study.run(variants).observations
+        for obs in together:
+            alone = study.measure_variant(obs.variant)
+            assert (alone.time, alone.measured_energy, alone.naive_estimate) == (
+                obs.time, obs.measured_energy, obs.naive_estimate
+            )
+            assert alone.counters == obs.counters
 
 
 @pytest.mark.slow

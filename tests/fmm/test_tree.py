@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TreeError
-from repro.fmm.points import clustered_cloud, uniform_cloud
+from repro.fmm.points import clustered_cloud, plummer_cloud, uniform_cloud
 from repro.fmm.tree import MAX_DEPTH, Leaf, Octree
+from tests.fmm.recursive_octree import recursive_octree
 
 
 def build(n=300, q=20, seed=0, generator=uniform_cloud) -> Octree:
@@ -70,6 +71,77 @@ class TestConstruction:
         tree = build(n=3000, q=16, generator=clustered_cloud)
         depths = {leaf.depth for leaf in tree.leaves}
         assert len(depths) > 1  # clusters force deeper subdivision locally
+
+
+def assert_same_tree(got: Octree, want: Octree) -> None:
+    """Every field of every leaf and node equal, Python types included."""
+    assert got.max_depth == want.max_depth
+    assert len(got.leaves) == len(want.leaves)
+    assert len(got.nodes) == len(want.nodes)
+    for g, w in zip(got.leaves, want.leaves):
+        assert (g.index, g.half_width, g.depth) == (w.index, w.half_width, w.depth)
+        assert type(g.index) is type(g.depth) is int and type(g.half_width) is float
+        np.testing.assert_array_equal(g.center, w.center, strict=True)
+        np.testing.assert_array_equal(g.points, w.points, strict=True)
+    for g, w in zip(got.nodes, want.nodes):
+        assert (g.index, g.half_width, g.depth, g.children, g.leaf_index) == (
+            w.index, w.half_width, w.depth, w.children, w.leaf_index
+        )
+        assert all(type(c) is int for c in g.children)
+        np.testing.assert_array_equal(g.center, w.center, strict=True)
+
+
+CLOUDS = {
+    "uniform": uniform_cloud,
+    "clustered": clustered_cloud,
+    "plummer": plummer_cloud,
+}
+
+
+class TestMatchesRecursiveBuild:
+    """The array build yields the recursive build's tree, field for field:
+    the same boxes, nodes in its preorder, leaves in its depth-first
+    order, each leaf's points as ascending indices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cloud=st.sampled_from(sorted(CLOUDS)),
+        n=st.integers(1, 600),
+        q=st.integers(1, 128),
+        seed=st.integers(0, 1000),
+        max_depth=st.sampled_from([0, 1, 2, 4, MAX_DEPTH, 21, 22, 33, 45]),
+        copies=st.integers(0, 40),
+        spacing=st.integers(15, 50),
+    )
+    @example(cloud="uniform", n=1, q=1, seed=0, max_depth=MAX_DEPTH, copies=0, spacing=20)
+    # The fmm experiment's geometry.
+    @example(cloud="uniform", n=4000, q=64, seed=3, max_depth=MAX_DEPTH, copies=0, spacing=20)
+    @example(cloud="plummer", n=300, q=1, seed=1, max_depth=0, copies=5, spacing=20)
+    @example(cloud="clustered", n=300, q=2, seed=2, max_depth=1, copies=5, spacing=20)
+    @example(cloud="uniform", n=200, q=3, seed=3, max_depth=40, copies=12, spacing=30)
+    def test_fields_equal_the_recursion(
+        self, cloud, n, q, seed, max_depth, copies, spacing
+    ):
+        """``copies`` extra points pile onto one point of the cloud, every
+        other one nudged by ``2**-spacing`` per axis: duplicates that
+        reach the depth limit, and near-duplicates that part below the
+        first 21 levels."""
+        positions, densities = CLOUDS[cloud](n, seed=seed)
+        nudge = np.ldexp(np.arange(copies) % 2, -spacing)[:, None]
+        extra = np.minimum(positions[0] + nudge, np.nextafter(1.0, 0.0))
+        positions = np.vstack([positions, extra])
+        densities = np.concatenate([densities, np.ones(copies)])
+        got = Octree.build(positions, densities, leaf_capacity=q, max_depth=max_depth)
+        want = recursive_octree(positions, densities, leaf_capacity=q, max_depth=max_depth)
+        assert_same_tree(got, want)
+        got.validate()
+
+    def test_validate_honours_the_tree_depth_limit(self):
+        """An over-full leaf at the tree's own depth limit is valid."""
+        positions = np.tile(np.array([[0.3, 0.3, 0.3]]), (20, 1))
+        for max_depth in (0, 1, 6):
+            tree = Octree.build(positions, np.ones(20), leaf_capacity=4, max_depth=max_depth)
+            tree.validate()
 
 
 class TestLeafGeometry:

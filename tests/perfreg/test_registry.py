@@ -151,6 +151,7 @@ class TestProductionRegistry:
         names = set(all_checks())
         assert {
             "batch.sweep",
+            "experiments.fmm",
             "cachesim.fmm_batch_lru",
             "service.closed_loop",
             "service.open_loop",
@@ -175,3 +176,16 @@ class TestProductionRegistry:
     def test_shipped_areas_cover_the_three_trajectories(self):
         areas = {cls().area for cls in all_checks().values()}
         assert {"batch", "cachesim", "service"} <= areas
+
+    def test_fmm_study_check_times_every_phase(self):
+        """The study's phases at the experiment's default size, with the
+        fitted cache cost the sanity check grades."""
+        from repro.perfreg.checks import measure_fmm_study
+
+        times, eps_cache_pj = measure_fmm_study(n_points=4000)
+        assert set(times) == {"tree_ms", "ulist_ms", "study_ms", "total_ms"}
+        assert times["total_ms"] >= times["tree_ms"] + times["study_ms"] > 0
+        assert eps_cache_pj == pytest.approx(189.744, abs=1e-3)
+        [inst] = expand_checks(["experiments.fmm"])
+        assert inst.instance_id == "experiments.fmm[n_points=64000]"
+        assert inst.check.area == "batch"

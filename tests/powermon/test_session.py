@@ -250,6 +250,40 @@ class TestBatchedCampaign:
             assert_same_measurements(batched.measure_many(kernels), want)
             assert batched.rng.bit_generator.state == single.rng.bit_generator.state
 
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    def test_per_kernel_generators(self, monkeypatch, noise):
+        """With ``rngs``, each kernel's measurement and its generator's end
+        state are those of a fresh one-kernel session seeded alike."""
+        device, kernels = rig_kernels("gpu", 9)
+        seeds = [[7, i] for i in range(len(kernels))]
+        efficiency = [None, 0.5, 0.8] * 3
+        traffic = [0.0, 1e9, 3e9] * 3
+        want, want_states = [], []
+        for kernel, seed, eff, q in zip(kernels, seeds, efficiency, traffic):
+            alone = MeasurementSession(device, gpu_rails(), noise=NOISES[noise], seed=seed)
+            want.append(alone.measure(kernel, cache_traffic=q, efficiency=eff))
+            want_states.append(alone.rng.bit_generator.state)
+        # The natural passes, and one window per pass.
+        for budget in (powermon_device.CHUNK_SAMPLES, 1):
+            monkeypatch.setattr(powermon_device, "CHUNK_SAMPLES", budget)
+            session = rig_session("gpu", device, NOISES[noise])
+            before = session.rng.bit_generator.state
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            got = session.measure_many(
+                kernels, cache_traffic=traffic, efficiency=efficiency, rngs=rngs
+            )
+            assert_same_measurements(got, want)
+            assert [r.bit_generator.state for r in rngs] == want_states
+            assert session.rng.bit_generator.state == before
+
+    def test_per_kernel_lists_must_match(self, device):
+        session = MeasurementSession(device, gpu_rails())
+        kernels = [sized_kernel(device)] * 2
+        with pytest.raises(MeasurementError, match="efficiency"):
+            session.measure_many(kernels, efficiency=[None])
+        with pytest.raises(MeasurementError, match="rngs"):
+            session.measure_many(kernels, rngs=[session.rng])
+
     def test_too_sparse_kernel_in_a_batch_is_named(self, device):
         session = MeasurementSession(device, gpu_rails())
         tiny = KernelSpec.from_intensity(
