@@ -22,6 +22,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -269,6 +270,50 @@ def measure_fmm_study(
         "total_ms": units.to_milliseconds(t3 - t0),
     }
     return times, units.to_picojoules(result.eps_cache_fit)
+
+
+# ---------------------------------------------------------------------------
+# The Fig. 4 measurement campaign
+# ---------------------------------------------------------------------------
+
+
+def measure_fig4_sweep(
+    *, points_per_octave: int = 64
+) -> tuple[dict[str, float], float]:
+    """Time the four Fig. 4 panel sweeps, then trace their memory.
+
+    Both passes start from an empty panel memo.  ``sweep_ms`` is the
+    untraced pass; ``campaign_peak_mb`` is the tracemalloc peak of a
+    second, traced pass (tracing slows allocation, so it is kept out of
+    the timing).  Also returns the GPU double-precision flop fraction
+    for the sanity check.
+    """
+    from repro.experiments._sweeps import (
+        PANELS, _PANEL_MEMO, panel_machine, run_panels,
+    )
+
+    def sweep():
+        _PANEL_MEMO.clear()
+        return run_panels(PANELS, points_per_octave=points_per_octave)
+
+    try:
+        started = time.perf_counter()
+        panels = sweep()
+        elapsed = time.perf_counter() - started
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        _PANEL_MEMO.clear()
+    machine = panel_machine("gpu", "double")
+    values = {
+        "sweep_ms": units.to_milliseconds(elapsed),
+        "campaign_peak_mb": peak / units.MEGA,
+    }
+    return values, panels[("gpu", "double")].max_gflops / machine.peak_gflops
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +792,36 @@ class FmmStudyCheck(PerfCheck):
             raise SanityError(
                 f"fitted cache cost {fitted:.1f} pJ/B is not within "
                 f"{self.tolerance:.0%} of the paper's {self.paper_pj} pJ/B"
+            )
+
+
+@register
+class Fig4SweepCheck(PerfCheck):
+    """Fig. 4's four panel sweeps: one measurement campaign per panel."""
+
+    name = "experiments.fig4"
+    area = "batch"
+    params = {"points_per_octave": (64,)}
+    metrics = (
+        Metric("sweep_ms", "ms", LOWER_IS_BETTER),
+        Metric("campaign_peak_mb", "MB", LOWER_IS_BETTER),
+    )
+    #: The paper's achieved GTX 580 double-precision flop fraction,
+    #: quoted to a tenth of a percent.
+    paper_flop_fraction, tolerance = 0.993, 0.0005
+
+    def run(self, ctx: CheckContext) -> Mapping[str, float]:
+        values, ctx.state["flop_fraction"] = measure_fig4_sweep(
+            points_per_octave=ctx.params["points_per_octave"]
+        )
+        return values
+
+    def sanity(self, ctx: CheckContext, values: Mapping[str, float]) -> None:
+        fraction = ctx.state["flop_fraction"]
+        if abs(fraction - self.paper_flop_fraction) > self.tolerance:
+            raise SanityError(
+                f"GPU double flop fraction {fraction:.2%} is not the "
+                f"paper's {self.paper_flop_fraction:.1%}"
             )
 
 

@@ -56,28 +56,32 @@ class ADCModel:
         self,
         true_values: np.ndarray,
         normals: np.ndarray | None,
-        *,
         sigma: float,
         lsb: float,
         full_scale: float,
         out: np.ndarray | None,
+        repeats: np.ndarray | None = None,
     ) -> np.ndarray:
         values = np.asarray(true_values, dtype=float)
         if np.any(values < 0):
             raise MeasurementError("true channel values must be non-negative")
         readings = np.asarray(values * (1.0 + self.noise.gain_error))
+        if repeats is not None:
+            readings = np.repeat(readings, repeats, axis=-1)
         if sigma > 0:
             # ``rng.normal(0, sigma, n)`` is ``0.0 + sigma * z`` draw for
             # draw, and the ``0.0 +`` cannot change ``1.0 + ...``.
             noise = np.asarray(sigma * normals)
             noise += 1.0
             readings = np.multiply(readings, noise, out=noise)
-        # Quantise and clip in place: the same operations as
-        # ``clip(round(readings / lsb) * lsb)``, without temporaries.
+        # Quantise and clip in place: ``clip(round(readings / lsb) * lsb,
+        # 0, full_scale)`` without temporaries.  Maximum then minimum, the
+        # bound first, is np.clip bit for bit (NaN and -0.0 included).
         readings /= lsb
         np.round(readings, out=readings)
         readings *= lsb
-        return np.clip(readings, 0.0, full_scale, out=readings if out is None else out)
+        clipped = np.maximum(0.0, readings, out=readings if out is None else out)
+        return np.minimum(full_scale, clipped, out=clipped)
 
     def convert_voltage(
         self,
@@ -93,12 +97,8 @@ class ADCModel:
         the inputs, or are written to ``out``.
         """
         return self._convert(
-            true_volts,
-            normals,
-            sigma=self.noise.voltage_sigma,
-            lsb=self.voltage_lsb,
-            full_scale=self.full_scale_voltage,
-            out=out,
+            true_volts, normals, self.noise.voltage_sigma, self.voltage_lsb,
+            self.full_scale_voltage, out,
         )
 
     def convert_current(
@@ -107,15 +107,17 @@ class ADCModel:
         normals: np.ndarray | None,
         *,
         out: np.ndarray | None = None,
+        repeats: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Currents through the ADC, given one standard normal per reading."""
+        """Currents through the ADC, given one standard normal per reading.
+
+        With ``repeats``, entry ``j`` along the last axis of ``true_amps``
+        is the true value of ``repeats[j]`` consecutive readings (a
+        window's); only those values are checked for non-negativity.
+        """
         return self._convert(
-            true_amps,
-            normals,
-            sigma=self.noise.current_sigma,
-            lsb=self.current_lsb,
-            full_scale=self.full_scale_current,
-            out=out,
+            true_amps, normals, self.noise.current_sigma, self.current_lsb,
+            self.full_scale_current, out, repeats,
         )
 
     def read_voltage(

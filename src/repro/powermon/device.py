@@ -29,13 +29,15 @@ from repro.simulator.trace import PowerTrace, power_at_windows
 __all__ = ["SampleSet", "PowerMon2", "CHUNK_SAMPLES"]
 
 #: Most samples one pass of :meth:`PowerMon2.acquire_windows` converts.
-#: The readings go into arrays kept for the whole campaign; this bounds
-#: the noise draws and temporaries of a pass (32 KiB per float64 row,
-#: about six sweep windows), small enough for the allocator to recycle
-#: them between passes instead of mapping fresh pages (with the
-#: thresholds :func:`repro._heap.reserve_heap` sets).  On a fig4 sweep
-#: in a fresh interpreter 4096 beat 2**13 to 2**15, and 1024 (one window
-#: per pass) paid per-pass overhead.  A longer window is a pass alone.
+#: A campaign converts every pass into one buffer of voltages and
+#: currents, ``max(CHUNK_SAMPLES, longest window)`` samples long, so its
+#: memory does not grow with the number of windows.  This
+#: also bounds a pass's noise draws and temporaries (32 KiB per float64
+#: row, about six sweep windows), small enough for the allocator to
+#: recycle them between passes instead of mapping fresh pages (with the
+#: thresholds :func:`repro._heap.reserve_heap` sets).  On a 64-points-
+#: per-octave fig4 sweep in a fresh interpreter (2 cores) 4096 beat 2048
+#: and 2**13 to 2**15.
 CHUNK_SAMPLES = 1 << 12
 
 
@@ -163,12 +165,21 @@ class PowerMon2:
         Samples land at ``start + k/sample_hz`` for ``k = 0..n-1`` over
         ``duration`` (default: the rest of the trace).  All channels
         sample synchronously, as the real device's aggregate scan does.
-        This is the one-window case of :meth:`acquire_windows`.
+        This is the one-window case of :meth:`acquire_windows`'s pass,
+        into exact-size arrays the sample set keeps.
         """
         if duration is None:
             duration = trace.duration - start
-        (samples,), _powers, _trailing = self.acquire_windows(
-            [(trace, start, duration)], rails, sample_hz=sample_hz, rngs=[rng]
+        self.validate_rates(len(rails), sample_hz)
+        n = _window_samples(duration, sample_hz)
+        samples = SampleSet(
+            np.empty(n), np.empty((len(rails), n)), np.empty((len(rails), n)),
+            tuple(c.name for c in rails.channels), sample_hz,
+        )
+        self._pass(
+            [(trace, start, duration)], np.array([n]), rails, sample_hz, [rng], 0,
+            times=samples.timestamps, voltages=samples.voltages,
+            currents=samples.currents,
         )
         return samples
 
@@ -180,7 +191,7 @@ class PowerMon2:
         sample_hz: float,
         rngs: Sequence[np.random.Generator],
         trailing: int = 0,
-    ) -> tuple[list[SampleSet], list[float], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sample ``(trace, start, duration)`` windows in one campaign.
 
         Every window is checked before anything is drawn.  Then each
@@ -191,12 +202,13 @@ class PowerMon2:
         owns (the session's timer).  Windows may share a generator: one
         generator passed for every window serves them in order.  The
         draws are made in passes of at most :data:`CHUNK_SAMPLES`
-        samples; how windows fall into passes changes no value.
+        samples (a longer window is a pass alone), each converted into
+        one reused pass buffer; how windows fall into passes changes no
+        value.
 
-        Returns the sample sets, their average powers (each the mean of
-        its own window's per-sample ``Σ V·I``, as
-        :meth:`SampleSet.average_power` computes it) and the trailing
-        normals shaped ``(len(windows), trailing)``.
+        Returns each window's average power (exactly the
+        :meth:`SampleSet.average_power` of a one-window :meth:`acquire`)
+        and the trailing normals shaped ``(len(windows), trailing)``.
         """
         self.validate_rates(len(rails), sample_hz)
         if len(rngs) != len(windows):
@@ -206,52 +218,36 @@ class PowerMon2:
             [_window_samples(duration, sample_hz) for _, _, duration in windows],
             dtype=np.int64,
         )
-
-        # The readings of every window, side by side: one allocation each,
-        # so the kept sample sets are views into a few exact-size blocks.
         ends = np.cumsum(counts)
         offsets = ends - counts
-        total = int(ends[-1]) if counts.size else 0
-        times = np.empty(total)
-        voltages = np.empty((len(rails), total))
-        currents = np.empty((len(rails), total))
-        powers: list[float] = []
-        trailing_normals = [np.empty((0, trailing))]
+        size = max(CHUNK_SAMPLES, int(counts.max(initial=0)))
+        voltages = np.empty((len(rails), size))
+        currents = np.empty((len(rails), size))
+        powers = np.empty(len(windows))
+        trailing_normals = np.empty((len(windows), trailing))
         first = 0
         while first < len(windows):
             last = first + 1
             while last < len(windows) and ends[last] - offsets[first] <= CHUNK_SAMPLES:
                 last += 1
-            span = slice(offsets[first], ends[last - 1])
-            chunk_powers, chunk_trailing = self._acquire_chunk(
-                windows[first:last],
-                counts[first:last],
-                rails,
-                sample_hz,
-                rngs[first:last],
-                trailing,
-                times=times[span],
-                voltages=voltages[:, span],
-                currents=currents[:, span],
+            batch = slice(first, last)
+            n = int(ends[last - 1] - offsets[first])
+            trailing_normals[batch] = self._pass(
+                windows[batch], counts[batch], rails, sample_hz, rngs[batch],
+                trailing, voltages=voltages[:, :n], currents=currents[:, :n],
             )
-            powers += chunk_powers
-            trailing_normals.append(chunk_trailing)
+            # Per sample Σ V·I; per window np.mean's sum (np.add.reduceat
+            # would start from a window's first sample, not from zero,
+            # and round differently) over its count.
+            product = np.multiply(voltages[:, :n], currents[:, :n], out=voltages[:, :n])
+            power = np.sum(product, axis=0)
+            cuts = (ends[batch][:-1] - offsets[first]).tolist()
+            powers[batch] = [np.add.reduce(w) for w in np.split(power, cuts)]
+            powers[batch] /= counts[batch]
             first = last
+        return powers, trailing_normals
 
-        names = tuple(c.name for c in rails.channels)
-        samples = [
-            SampleSet(
-                timestamps=times[lo:hi],
-                voltages=voltages[:, lo:hi],
-                currents=currents[:, lo:hi],
-                channel_names=names,
-                sample_hz=sample_hz,
-            )
-            for lo, hi in zip(offsets.tolist(), ends.tolist())
-        ]
-        return samples, powers, np.concatenate(trailing_normals)
-
-    def _acquire_chunk(
+    def _pass(
         self,
         windows: Sequence[tuple[PowerTrace, float, float]],
         counts: np.ndarray,
@@ -260,24 +256,35 @@ class PowerMon2:
         rngs: Sequence[np.random.Generator],
         trailing: int,
         *,
-        times: np.ndarray,
         voltages: np.ndarray,
         currents: np.ndarray,
-    ) -> tuple[list[float], np.ndarray]:
-        """One pass of :meth:`acquire_windows` over consecutive windows.
+        times: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Convert consecutive windows into ``voltages`` and ``currents``.
 
-        Fills this pass's slices of the sample times and readings;
-        returns the windows' average powers and trailing normals.
+        Returns the windows' trailing normals; ``times``, if given,
+        receives the sample times.  Sample times rise, so a window whose
+        first and last samples lie on its trace's plateau reads exactly
+        ``active_power`` throughout; when every window does, the rails
+        split each window's power once, without the sample times.
         """
         n_ch = len(rails)
-        ends = np.cumsum(counts)
-        offsets = ends - counts
-        total = int(ends[-1])
-        local = np.arange(total) - np.repeat(offsets, counts)
-        starts = np.repeat(np.array([w[1] for w in windows], dtype=float), counts)
-        np.add(starts, local / sample_hz, out=times)
-        total_power = power_at_windows([w[0] for w in windows], times, counts)
-        true_currents = np.array(rails.true_currents(total_power))
+        traces = [w[0] for w in windows]
+        starts = np.array([w[1] for w in windows], dtype=float)
+        lasts = starts + (counts - 1) / sample_hz  # the sample times' sum at k = n - 1
+        on_plateau = all(
+            trace.t_plateau_start <= t0 and t1 < trace.t_plateau_end
+            for trace, t0, t1 in zip(traces, starts.tolist(), lasts.tolist())
+        )
+        if times is not None or not on_plateau:
+            ends = np.cumsum(counts)
+            local = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            times = np.add(np.repeat(starts, counts), local / sample_hz, out=times)
+        if on_plateau:
+            total_power, repeats = np.array([tr.active_power for tr in traces]), counts
+        else:
+            total_power, repeats = power_at_windows(traces, times, counts), None
+        true_amps = np.array(rails.true_currents(total_power))
         # One true voltage per rail: the readings broadcast it over samples.
         true_volts = np.array([[c.nominal_voltage] for c in rails.channels])
 
@@ -312,17 +319,8 @@ class PowerMon2:
             if noisy_i:
                 amp_normals = normals[kinds - 1]
         self.adc.convert_voltage(true_volts, volt_normals, out=voltages)
-        self.adc.convert_current(true_currents, amp_normals, out=currents)
-        trailing_normals = z[
-            (first_draw + rows * counts)[:, None] + np.arange(trailing)
-        ]
-
-        power = np.sum(voltages * currents, axis=0)
-        powers = [
-            float(np.mean(power[lo:hi]))
-            for lo, hi in zip(offsets.tolist(), ends.tolist())
-        ]
-        return powers, trailing_normals
+        self.adc.convert_current(true_amps, amp_normals, out=currents, repeats=repeats)
+        return z[(first_draw + rows * counts)[:, None] + np.arange(trailing)]
 
 
 def _window_samples(duration: float, sample_hz: float) -> int:

@@ -13,8 +13,9 @@ a rail set, and measures kernels exactly the way the paper does:
    power samples.
 
 The output :class:`Measurement` carries ``(W, Q, T, E, R)`` — the exact
-4-tuple-plus-energy the eq. (9) regression consumes — and keeps the raw
-sample set for power-trace analyses (Fig. 5).
+4-tuple-plus-energy the eq. (9) regression consumes — and the average
+power Fig. 5 plots, but no readings: the campaign streams them through
+one reused pass buffer (:meth:`PowerMon2.acquire_windows`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.core.fitting import EnergySample
 from repro.exceptions import MeasurementError
 from repro.powermon.adc import ADCModel
 from repro.powermon.channels import RailSet
-from repro.powermon.device import PowerMon2, SampleSet
+from repro.powermon.device import PowerMon2
 from repro.simulator.device import ExecutionResult, SimulatedDevice
 from repro.simulator.kernel import KernelSpec, Precision
 from repro.units import (
@@ -60,7 +61,6 @@ class Measurement:
     time: float
     energy: float
     average_power: float
-    samples: SampleSet
     truth: ExecutionResult
 
     @property
@@ -178,7 +178,7 @@ class MeasurementSession:
 
         # Per window: the rail samples, then (on a noisy timer) one draw
         # of wall-clock jitter.
-        samples, powers, timer = self.powermon.acquire_windows(
+        powers, timer = self.powermon.acquire_windows(
             [(trace, trace.t_plateau_start, trace.active_duration) for _, trace in runs],
             self.rails,
             sample_hz=protocol.sample_hz,
@@ -197,10 +197,9 @@ class MeasurementSession:
                 time=wall / reps,
                 energy=power * wall / reps,
                 average_power=power,
-                samples=sampled,
                 truth=truth,
             )
-            for kernel, (truth, _), sampled, power, wall in zip(
-                kernels, runs, samples, powers, walls.tolist()
+            for kernel, (truth, _), power, wall in zip(
+                kernels, runs, powers.tolist(), walls.tolist()
             )
         ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import MeasurementError
@@ -154,3 +156,29 @@ class TestFullPaperNumbers:
         assert result.naive_summary.mean_signed == pytest.approx(-0.33, abs=0.06)
         assert result.eps_cache_fit * 1e12 == pytest.approx(187.0, rel=0.08)
         assert result.corrected_summary.median_abs == pytest.approx(0.041, abs=0.03)
+
+
+class TestCampaignMemory:
+    #: tracemalloc peak of the study at 64 000 points while it still
+    #: measured one variant at a time, before the one campaign (MB).
+    PRE_CAMPAIGN_PEAK_MB = 7.9
+
+    def test_study_peak_below_the_pre_campaign_study(self):
+        """The campaign keeps each variant's time and energy, not its
+        readings, so measuring 390 variants at once costs less memory
+        than measuring them one by one did."""
+        from repro.fmm.points import uniform_cloud
+        from repro.fmm.tree import Octree
+        from repro.fmm.ulist import build_ulist
+
+        positions, densities = uniform_cloud(64_000, seed=3)
+        tree = Octree.build(positions, densities, leaf_capacity=64)
+        ulist = build_ulist(tree)
+        variants = generate_variants()
+        tracemalloc.start()
+        try:
+            FmmEnergyStudy(tree, ulist).run(variants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PRE_CAMPAIGN_PEAK_MB * 1e6

@@ -152,6 +152,7 @@ class TestProductionRegistry:
         assert {
             "batch.sweep",
             "experiments.fmm",
+            "experiments.fig4",
             "cachesim.fmm_batch_lru",
             "service.closed_loop",
             "service.open_loop",
@@ -188,4 +189,19 @@ class TestProductionRegistry:
         assert eps_cache_pj == pytest.approx(189.744, abs=1e-3)
         [inst] = expand_checks(["experiments.fmm"])
         assert inst.instance_id == "experiments.fmm[n_points=64000]"
+        assert inst.check.area == "batch"
+
+    def test_fig4_check_times_and_traces_the_sweep(self):
+        """Both passes start from an empty panel memo and leave it empty;
+        the sanity value is the sweep's GPU double flop fraction."""
+        from repro.experiments._sweeps import _PANEL_MEMO
+        from repro.perfreg.checks import measure_fig4_sweep
+
+        values, fraction = measure_fig4_sweep(points_per_octave=2)
+        assert set(values) == {"sweep_ms", "campaign_peak_mb"}
+        assert values["sweep_ms"] > 0 and values["campaign_peak_mb"] > 0
+        assert fraction == pytest.approx(0.99316, abs=1e-5)
+        assert not _PANEL_MEMO
+        [inst] = expand_checks(["experiments.fig4"])
+        assert inst.instance_id == "experiments.fig4[points_per_octave=64]"
         assert inst.check.area == "batch"

@@ -69,3 +69,84 @@ class TestWorstCase:
     def test_rejects_nonpositive_full_scale(self):
         with pytest.raises(MeasurementError):
             ADCModel(full_scale_voltage=0.0)
+
+
+class TestInPlaceClip:
+    """The conversion clips in place with ``np.maximum``/``np.minimum``;
+    every reading must equal the ``np.clip`` formula bit for bit."""
+
+    @staticmethod
+    def clipped(adc, true, normals):
+        gained = true * (1.0 + adc.noise.gain_error)
+        if normals is not None:
+            gained = gained * (1.0 + adc.noise.current_sigma * normals)
+        lsb = adc.current_lsb
+        return np.clip(np.round(gained / lsb) * lsb, 0.0, adc.full_scale_current)
+
+    @staticmethod
+    def edge_values(adc) -> np.ndarray:
+        lsb = adc.current_lsb
+        return np.array([
+            np.nan, 0.0, -0.0, 5e-324, np.inf,
+            0.5 * lsb, 1.5 * lsb, 2.5 * lsb, 1000.5 * lsb,  # exact half-LSB ties
+            adc.full_scale_current - 0.5 * lsb, adc.full_scale_current,
+            adc.full_scale_current + 0.5 * lsb, 2.0 * adc.full_scale_current,
+            1.0, 12.3456789,
+        ])
+
+    @pytest.mark.parametrize("profile", ["noiseless-12-bit", "noisy", "gain"])
+    def test_equals_np_clip(self, profile):
+        noise = {
+            "noiseless-12-bit": NoiseProfile(voltage_sigma=0.0, current_sigma=0.0),
+            "noisy": NoiseProfile(current_sigma=0.5),
+            "gain": NoiseProfile(voltage_sigma=0.0, current_sigma=0.0, gain_error=0.01),
+        }[profile]
+        adc = ADCModel(noise=noise)
+        edges = self.edge_values(adc)
+        # Long enough to take numpy's vectorised loops, shuffled so every
+        # edge value lands in every lane.
+        gen = np.random.default_rng(3)
+        true = gen.permutation(np.resize(edges, 4 * 1031)).reshape(4, 1031)
+        normals = None
+        if noise.current_sigma > 0:
+            # Zero keeps a tie exact; below -1/sigma a reading goes negative
+            # (and -0.0 for a zero true value); NaN poisons one reading.
+            normals = gen.choice([0.0, -0.0, -3.0, 1.0, np.nan], size=true.shape)
+            normals[:, :8] = -3.0
+        want = self.clipped(adc, true, normals)
+        assert adc.convert_current(true, normals).tobytes() == want.tobytes()
+        # Into a strided slice of a wider buffer, as a campaign's pass does.
+        buffer = np.full((4, 2048), 7.0)
+        out = adc.convert_current(true, normals, out=buffer[:, :1031])
+        assert out.base is buffer
+        assert np.ascontiguousarray(buffer[:, :1031]).tobytes() == want.tobytes()
+        assert np.all(buffer[:, 1031:] == 7.0)
+        # The edges the comparison must have met.
+        assert np.isnan(want).any()
+        assert (np.signbit(want) & (want == 0.0)).any()
+        assert (want == adc.full_scale_current).any()
+
+    def test_broadcast_voltage_into_out(self):
+        adc = ADCModel(noise=NoiseProfile())
+        true = np.array([[3.3], [12.0], [20.0], [0.0]])
+        normals = np.random.default_rng(4).standard_normal((4, 513))
+        out = adc.convert_voltage(true, normals, out=np.empty((4, 513)))
+        gained = true * (1.0 + normals * adc.noise.voltage_sigma)
+        lsb = adc.voltage_lsb
+        want = np.clip(np.round(gained / lsb) * lsb, 0.0, adc.full_scale_voltage)
+        assert out.tobytes() == want.tobytes()
+
+    def test_repeats_equal_repeated_values(self):
+        adc = ADCModel()
+        per_window = np.array([[1.5, 0.25, 30.0], [0.0, 2.0, 50.0]])
+        repeats = np.array([3, 1, 5])
+        normals = np.random.default_rng(5).standard_normal((2, 9))
+        got = adc.convert_current(per_window, normals, repeats=repeats)
+        want = adc.convert_current(np.repeat(per_window, repeats, axis=1), normals)
+        assert got.tobytes() == want.tobytes()
+
+    def test_repeats_check_the_per_window_values(self):
+        with pytest.raises(MeasurementError):
+            ADCModel().convert_current(
+                np.array([[1.0, -1.0]]), None, repeats=np.array([4, 2])
+            )

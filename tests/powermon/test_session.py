@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from repro.config import NOISELESS, MeasurementProtocol, NoiseProfile
 from repro.exceptions import MeasurementError, SamplingError
 from repro.microbench.sweep import IntensitySweep
 from repro.powermon.channels import atx_cpu_rails, gpu_rails
-from repro.powermon.device import SampleSet
 from repro.powermon.session import Measurement, MeasurementSession
 from repro.simulator.device import SimulatedDevice, gtx580_truth, i7_950_truth
 from repro.simulator.kernel import KernelSpec, Precision
+from tests.powermon.reference import reference_samples
 
 
 @pytest.fixture
@@ -151,39 +153,35 @@ def rig_session(rig: str, device: SimulatedDevice, noise: NoiseProfile) -> Measu
 def legacy_measure(session: MeasurementSession, kernel: KernelSpec) -> Measurement:
     """The per-kernel protocol as one loop: the reference draw order.
 
-    Per kernel: each channel's voltage then current through the ADC,
-    each drawing ``rng.normal(0, sigma, n)`` when its sigma is
-    positive, then one timer draw on a noisy timer.
+    Per kernel: the active window read sample by sample
+    (:func:`reference_samples`), then one timer draw on a noisy timer.
     """
-    protocol, rng, adc = session.protocol, session.rng, session.powermon.adc
+    protocol, rng = session.protocol, session.rng
     truth = session.device.execute(kernel)
     trace = session.device.trace(truth, repetitions=protocol.repetitions)
-    n = int(np.floor(trace.active_duration * protocol.sample_hz))
-    times = trace.t_plateau_start + np.arange(n) / protocol.sample_hz
-    currents = session.rails.true_currents(trace.power_at(times))
-
-    def read(true, sigma, lsb, full_scale):
-        gained = true * (1.0 + adc.noise.gain_error)
-        if sigma > 0:
-            gained = gained * (1.0 + rng.normal(0.0, sigma, size=n))
-        return np.clip(np.round(gained / lsb) * lsb, 0.0, full_scale)
-
-    voltages = np.empty((len(session.rails), n))
-    amps = np.empty((len(session.rails), n))
-    for i, (channel, current) in enumerate(zip(session.rails.channels, currents)):
-        voltages[i] = read(np.full(n, channel.nominal_voltage), adc.noise.voltage_sigma,
-                           adc.voltage_lsb, adc.full_scale_voltage)
-        amps[i] = read(current, adc.noise.current_sigma, adc.current_lsb,
-                       adc.full_scale_current)
-    samples = SampleSet(times, voltages, amps,
-                        tuple(c.name for c in session.rails.channels),
-                        protocol.sample_hz)
+    samples = reference_samples(
+        session.powermon.adc, session.rails, trace, start=trace.t_plateau_start,
+        n=int(np.floor(trace.active_duration * protocol.sample_hz)),
+        sample_hz=protocol.sample_hz, rng=rng,
+    )
     wall = trace.active_duration
     if session.noise.voltage_sigma > 0:
         wall *= 1.0 + float(rng.normal(0.0, 1e-4))
     power = samples.average_power()
     return Measurement(kernel, protocol.repetitions, wall / protocol.repetitions,
-                       power * wall / protocol.repetitions, power, samples, truth)
+                       power * wall / protocol.repetitions, power, truth)
+
+
+def window_samples(session: MeasurementSession, measured: list[Measurement]) -> int:
+    """Samples in the active windows of ``measured``, all told."""
+    protocol = session.protocol
+    return sum(
+        int(np.floor(
+            session.device.trace(m.truth, repetitions=protocol.repetitions).active_duration
+            * protocol.sample_hz
+        ))
+        for m in measured
+    )
 
 
 def assert_same_measurements(got: list[Measurement], want: list[Measurement]) -> None:
@@ -194,13 +192,6 @@ def assert_same_measurements(got: list[Measurement], want: list[Measurement]) ->
         assert g.repetitions == w.repetitions
         # Bit-identical, not approximately equal.
         assert (g.time, g.energy, g.average_power) == (w.time, w.energy, w.average_power)
-        assert g.average_power == g.samples.average_power()
-        assert g.samples.channel_names == w.samples.channel_names
-        assert g.samples.sample_hz == w.samples.sample_hz
-        for field in ("timestamps", "voltages", "currents"):
-            np.testing.assert_array_equal(
-                getattr(g.samples, field), getattr(w.samples, field), strict=True
-            )
 
 
 class TestBatchedCampaign:
@@ -241,7 +232,7 @@ class TestBatchedCampaign:
         device, kernels = rig_kernels("gpu", 40)
         single = rig_session("gpu", device, NoiseProfile())
         want = [single.measure(k) for k in kernels]
-        assert sum(m.samples.n_samples for m in want) > powermon_device.CHUNK_SAMPLES
+        assert window_samples(single, want) > powermon_device.CHUNK_SAMPLES
         # The natural split, one window per pass (a budget below any
         # window), and a few windows per pass.
         for budget in (powermon_device.CHUNK_SAMPLES, 1, 2000):
@@ -300,3 +291,35 @@ class TestBatchedCampaign:
         before = session.rng.bit_generator.state
         assert session.measure_many([]) == []
         assert session.rng.bit_generator.state == before
+
+
+def traced_peak(func) -> int:
+    """Bytes allocated at the peak of ``func()``, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCampaignMemory:
+    """A campaign streams its readings through one pass buffer and keeps
+    per-window scalars only, so ten times the windows cost no more than
+    that buffer and a few objects per window."""
+
+    #: A generous bound on what a campaign keeps per window until it
+    #: returns (its Measurement, execution result and trace: about
+    #: 0.6 KB).  Keeping a window's readings would cost 46 KB.
+    PER_WINDOW_BYTES = 1024
+
+    def test_peak_grows_by_one_pass_buffer_at_most(self):
+        device, kernels = rig_kernels("gpu", 400)
+        rails = gpu_rails()
+        session = MeasurementSession(device, rails, seed=17)
+        session.measure_many(kernels[:2])  # first-call allocations
+        few = traced_peak(lambda: session.measure_many(kernels[::10]))
+        many = traced_peak(lambda: session.measure_many(kernels))
+        # Voltage and current rows of CHUNK_SAMPLES float64s each.
+        pass_buffer = 2 * len(rails) * powermon_device.CHUNK_SAMPLES * 8
+        assert many - few <= pass_buffer + (400 - 40) * self.PER_WINDOW_BYTES
