@@ -28,20 +28,14 @@ still bit-identical to direct model calls, each machine's requests
 pinned to one backend, zero errors, zero failovers, clean drain.
 
 With ``--admission cost`` the server runs the roofline cost model in
-the request path — predicted-work admission and a power cap (both
-generous, so nothing is refused) plus deadline-aware batch sizing —
-and every assertion above must still hold bit-for-bit: the cost loop
-may move batch boundaries, never values.  After the drain the held
-(count, seconds, watts) vector must be back at zero.
-
-With ``--autoscale`` the smoke instead drives a ramping open-loop
-arrival schedule at a one-worker server bounded at two workers: the
-autoscaler must grow the pool under the ramp, lose zero replies, and
-shrink back to one worker once the load stops.
+the request path — predicted-work admission (generous, so nothing is
+refused) plus deadline-aware batch sizing — and every assertion above
+must still hold bit-for-bit: the cost loop may move batch boundaries,
+never values.  After the drain the held (count, seconds) vector must
+be back at zero.
 
 Run:  python examples/service_smoke.py [--workers N]
           [--wire ndjson|binary] [--router] [--admission depth|cost]
-          [--autoscale]
 """
 
 from __future__ import annotations
@@ -243,60 +237,6 @@ async def drive_router() -> None:
     print("router and backends drained cleanly; router smoke passed")
 
 
-async def drive_autoscale() -> None:
-    """Ramping load against a 1..2-worker autoscaled server."""
-    from repro.service.loadgen import ramp_arrival_schedule, run_open_loop
-
-    interval = 0.05
-    server = ModelServer(ServerConfig(
-        port=0, max_batch=16, workers=1,
-        autoscale_min=1, autoscale_max=2, autoscale_interval=interval,
-    ))
-    await server.pool.ready()
-    print(f"autoscaled server up: {server.pool.workers} worker, max 2")
-
-    arrivals = ramp_arrival_schedule(100.0, 1500.0, 1.5)
-    report = await run_open_loop(
-        server, arrivals=arrivals, workload="mixed"
-    )
-    assert report.errors == 0, "autoscaled ramp must lose zero replies"
-
-    # The scale-up resize spawns and warms a real worker process, so
-    # on a busy host it can still be in flight when the ramp ends —
-    # wait on the sticky counter, not an instantaneous worker count.
-    for _ in range(400):
-        auto = server.stats()["autoscale"]
-        if auto["scale_ups"] >= 1:
-            break
-        await asyncio.sleep(interval)
-    assert auto["scale_ups"] >= 1, f"ramp never grew the pool: {auto}"
-    print(
-        f"ramp to 1500 req/s drove {report.requests} requests "
-        f"(0 errors); autoscaler grew the pool "
-        f"({auto['scale_ups']} scale-ups, peak rate "
-        f"{auto['arrival_rate']:.0f} req/s seen)"
-    )
-
-    # Load gone: the cooldown must shrink the pool back to the floor.
-    # The counter increments once the retiring shard has fully drained
-    # and joined, so it (not the worker count) is the settled signal.
-    for _ in range(400):
-        await asyncio.sleep(interval)
-        auto = server.stats()["autoscale"]
-        if auto["scale_downs"] >= 1:
-            break
-    assert auto["scale_downs"] >= 1, f"pool never shrank: {auto}"
-    assert server.pool.workers == 1, auto
-    print(
-        f"idle cooldown shrank the pool back to 1 worker "
-        f"({auto['scale_downs']} scale-downs)"
-    )
-
-    await server.stop()
-    assert server.batcher.pending_requests == 0
-    print("drained cleanly; autoscale smoke passed")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -316,27 +256,16 @@ def main() -> None:
         help="admission policy under test; cost runs the roofline "
         "predictor in the request path with a generous budget",
     )
-    parser.add_argument(
-        "--autoscale", action="store_true",
-        help="smoke the worker-pool autoscaler under a ramp instead",
-    )
     args = parser.parse_args()
 
     if args.router:
         asyncio.run(drive_router())
         return
-    if args.autoscale:
-        asyncio.run(drive_autoscale())
-        return
 
     cost_kwargs = (
-        # A budget and a power cap far above anything ~100 requests can
-        # queue: every admission dimension runs on every request, and
-        # none refuses.
-        dict(
-            admission="cost", work_budget=60.0, power_cap=1e6,
-            deadline_batching=True,
-        )
+        # A budget far above anything ~100 requests can queue: every
+        # admission dimension runs on every request, and none refuses.
+        dict(admission="cost", work_budget=60.0, deadline_batching=True)
         if args.admission == "cost"
         else {}
     )
@@ -365,22 +294,16 @@ def main() -> None:
             admission = stats["admission"]
             accepted = stats["counters"]["admission_accepted_total"]
             rejected = stats["counters"]["admission_rejected_total"]
-            shed = stats["counters"]["admission_shed_total"]
             assert cost["predictions"] > 0, "cost model never consulted"
             assert cost["observations"] > 0, "no wall times fed the fit"
             assert accepted > 0 and rejected == 0, (accepted, rejected)
-            assert shed == 0, f"{shed} requests shed under a generous cap"
             # Drained: the whole held vector is back at zero.
             assert stats["inflight"] == 0, stats["inflight"]
             assert admission["predicted_work_s"] == 0, admission
-            assert admission["predicted_power_w"] == 0, admission
-            assert admission["predicted_power_hwm_w"] > 0, admission
             print(
                 f"cost admission: {accepted} admitted, 0 refused, "
                 f"{cost['predictions']} predictions over {cost['keys']} "
-                f"fitted keys, {cost['observations']} observations, "
-                f"peak predicted power "
-                f"{admission['predicted_power_hwm_w']:.4g} W"
+                f"fitted keys, {cost['observations']} observations"
             )
         assert server.batcher.pending_requests == 0
         for process in workers:

@@ -142,31 +142,9 @@ def _add_server_flags(parser: argparse.ArgumentParser) -> None:
         help="predicted seconds of work in flight under --admission cost",
     )
     parser.add_argument(
-        "--power-cap", type=float, default=defaults.power_cap, metavar="W",
-        help="cap on aggregate predicted power; over it, low priority sheds",
-    )
-    parser.add_argument(
-        "--admission-wait-ms", type=float, metavar="MS",
-        default=units.to_milliseconds(defaults.admission_wait),
-        help="max time a request may queue for budget/cap headroom",
-    )
-    parser.add_argument(
         "--deadline-batching", action="store_true",
         default=defaults.deadline_batching,
         help="shrink batch windows so the earliest deadline holds",
-    )
-    parser.add_argument(
-        "--autoscale-min", type=int, default=defaults.autoscale_min,
-        metavar="N", help="autoscaler lower worker bound",
-    )
-    parser.add_argument(
-        "--autoscale-max", type=int, default=defaults.autoscale_max,
-        metavar="N", help="autoscaler upper worker bound; 0 disables",
-    )
-    parser.add_argument(
-        "--autoscale-interval", type=float, metavar="S",
-        default=defaults.autoscale_interval,
-        help="seconds between autoscaler sizing decisions",
     )
 
 
@@ -184,12 +162,7 @@ def _server_config(args: argparse.Namespace, **deployment):
         plan_cache_size=args.plan_cache_size,
         admission=args.admission,
         work_budget=args.work_budget,
-        power_cap=args.power_cap,
-        admission_wait=units.milliseconds(args.admission_wait_ms),
         deadline_batching=args.deadline_batching,
-        autoscale_min=args.autoscale_min,
-        autoscale_max=args.autoscale_max,
-        autoscale_interval=args.autoscale_interval,
         **deployment,
     )
 

@@ -22,12 +22,11 @@ Layers (one module each):
 :mod:`~repro.service.metrics`
     Counters / gauges / histograms behind the ``stats`` request.
 :mod:`~repro.service.costmodel`
-    Analytic-seeded, EWMA-refined per-request cost prediction — the
-    roofline model pointed at its own serving tier.
+    Analytic-seeded, EWMA-refined per-request service-time prediction
+    (cost admission and deadline batching) — the roofline model
+    pointed at its own serving tier.
 :mod:`~repro.service.workers`
     Sharded worker-pool execution tier (``workers=N`` servers).
-:mod:`~repro.service.autoscale`
-    Worker-pool autoscaling from arrival rate vs. fitted service cost.
 :mod:`~repro.service.server`
     The asyncio server: TCP + in-process, deadlines, graceful drain.
 :mod:`~repro.service.client`
@@ -55,10 +54,9 @@ Quickstart::
 See ``docs/SERVICE.md`` for the protocol and capacity-tuning notes.
 """
 
-from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import TTLCache
-from repro.service.costmodel import CostEstimate, CostPredictor
+from repro.service.costmodel import CostPredictor
 from repro.service.client import (
     AsyncServiceClient,
     InProcessClient,
@@ -74,7 +72,6 @@ from repro.service.loadgen import (
 )
 from repro.service.metrics import (
     Counter,
-    Ewma,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -91,14 +88,11 @@ from repro.service.workers import WorkerPool
 
 __all__ = [
     "AsyncServiceClient",
-    "AutoScaler",
-    "CostEstimate",
     "CostPredictor",
     "Counter",
     "CURVE_KINDS",
     "EVAL_METRICS",
     "EvalEngine",
-    "Ewma",
     "Gauge",
     "HashRing",
     "HealthMonitor",

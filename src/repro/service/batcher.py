@@ -33,7 +33,7 @@ Flush discipline:
 
 Each flush's wall time is reported back to the predictor (when one is
 attached), which is what turns the analytic seed into a host-accurate
-fit — the admission and autoscaling loops ride on those observations.
+fit — cost admission and deadline batching ride on those observations.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class MicroBatcher:
         predicted = self.cost.predict(
             "eval", key[0], key[1], len(pending.futures)
         )
-        latest = pending.deadline - predicted.seconds * DEADLINE_MARGIN
+        latest = pending.deadline - predicted * DEADLINE_MARGIN
         now = loop.time()
         if latest <= now:
             self.flush(key)

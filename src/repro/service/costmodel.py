@@ -1,10 +1,10 @@
 """Predicted per-request cost: the roofline model pointed at itself.
 
-Every scheduling decision the server makes — admit or refuse, flush a
-batch now or wait, grow or shrink the worker pool — needs one number
-the repo already knows how to produce: how much work a request is.
-:class:`CostPredictor` closes that loop.  It maps a canonical key
-``(op, machine, model)`` to a linear fit
+Two scheduling decisions the server makes — admit or refuse, flush a
+batch now or wait — need one number the repo already knows how to
+produce: how long a request will take.  :class:`CostPredictor` closes
+that loop.  It maps a canonical key ``(op, machine, model)`` to a
+linear fit
 
     seconds(n) = overhead + per_point * n
 
@@ -21,11 +21,10 @@ length, curve points, or 1 for the structured analyses).  The fit is
   updates ``per_point`` through an EWMA, so within a handful of
   batches the prediction tracks the *host*, not the modeled device.
 
-Energy rides along through the paper's ``E = eps_flop * W + pi0 * T``
-relation (energy_model.py): each key carries a modeled joules-per-point
-term plus the machine's constant power, which is what the power-cap
-throttle (the serving analogue of the paper's §V-B cap) budgets
-against.
+The predictor estimates time only.  It makes no energy or power
+claim: a modeled watts figure that no sensor stands behind is not the
+paper's measured power, and the paper's §V-B cap is served as the
+``capped`` model instead.
 
 Fits live in an LRU keyed like the curve-plan cache — canonical string
 keys, bounded entries, recency-ordered — so an adversarial stream of
@@ -49,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.engine import EvalEngine
 
 __all__ = [
-    "CostEstimate",
     "CostPredictor",
     "DEFAULT_COST_KEYS",
     "DEFAULT_EWMA_ALPHA",
@@ -81,13 +79,11 @@ HOST_CALIBRATION = 2000.0
 #: Per-request fixed cost seed: dispatch, validation, future plumbing.
 _SEED_OVERHEAD_S = 100.0 * units.MICRO
 
-#: Fallback machine parameters when the machine cannot be resolved
-#: (unknown name, malformed field): a generic 10 GFLOP/s, 100 W,
-#: 100 pJ/flop host.  The request will fail validation in dispatch;
-#: admission just needs a sane magnitude until then.
+#: Fallback flop time when the machine cannot be resolved (unknown
+#: name, malformed field): a generic 10 GFLOP/s host.  The request will
+#: fail validation in dispatch; admission just needs a sane magnitude
+#: until then.
 _FALLBACK_TAU_FLOP = units.time_per_flop_from_gflops(10.0)
-_FALLBACK_PI0_W = 100.0
-_FALLBACK_EPS_FLOP = units.picojoules(100.0)
 
 #: Fit-cache entry budget (LRU, like the curve-plan cache).
 DEFAULT_COST_KEYS = 512
@@ -100,52 +96,14 @@ DEFAULT_EWMA_ALPHA = 0.25
 _CONTROL_OPS = frozenset({"ping", "stats", "hello"})
 
 
-class CostEstimate:
-    """Predicted service time and energy for one request.
-
-    ``seconds`` and ``joules`` are strict SI; ``watts`` is the implied
-    average power draw (``joules / seconds``), the quantity the
-    power-cap throttle sums over admitted work.
-    """
-
-    __slots__ = ("seconds", "joules")
-
-    def __init__(self, seconds: float, joules: float):
-        self.seconds = seconds
-        self.joules = joules
-
-    @property
-    def watts(self) -> float:
-        return self.joules / self.seconds if self.seconds > 0 else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CostEstimate(seconds={self.seconds!r}, joules={self.joules!r})"
-        )
-
-
 class _Fit:
     """One key's linear cost model and its refinement state."""
 
-    __slots__ = (
-        "per_point",
-        "overhead",
-        "joules_per_point",
-        "idle_watts",
-        "observations",
-    )
+    __slots__ = ("per_point", "overhead", "observations")
 
-    def __init__(
-        self,
-        per_point: float,
-        overhead: float,
-        joules_per_point: float,
-        idle_watts: float,
-    ):
+    def __init__(self, per_point: float, overhead: float):
         self.per_point = per_point
         self.overhead = overhead
-        self.joules_per_point = joules_per_point
-        self.idle_watts = idle_watts
         self.observations = 0
 
 
@@ -193,19 +151,15 @@ class CostPredictor:
 
     def predict(
         self, op: str, machine: str, model: str | None, size: int
-    ) -> CostEstimate:
-        """Predicted service time/energy for ``size`` points of ``op``."""
+    ) -> float:
+        """Predicted service seconds for ``size`` points of ``op``."""
         fit = self._fit(op, machine, model)
-        n = max(1, int(size))
-        seconds = fit.overhead + fit.per_point * n
-        joules = fit.joules_per_point * n + fit.idle_watts * seconds
         self._predictions += 1
-        return CostEstimate(seconds, joules)
+        return fit.overhead + fit.per_point * max(1, int(size))
 
-    def estimate_request(
-        self, request: dict[str, Any]
-    ) -> CostEstimate | None:
-        """Estimate one wire request, or ``None`` for control ops.
+    def estimate_request(self, request: dict[str, Any]) -> float | None:
+        """Predicted seconds for one wire request, or ``None`` for
+        control ops.
 
         Never raises: malformed bodies get a size-1 estimate under
         whatever key their fields spell — dispatch produces the proper
@@ -309,24 +263,13 @@ class CostPredictor:
 
     def _seed(self, op: str, machine: str) -> _Fit:
         tau = _FALLBACK_TAU_FLOP
-        pi0 = _FALLBACK_PI0_W
-        eps = _FALLBACK_EPS_FLOP
         if machine:
             try:
-                params = self.engine.machine(machine)
-                tau = float(params.tau_flop)
-                pi0 = float(params.pi0)
-                eps = float(params.eps_flop)
+                tau = float(self.engine.machine(machine).tau_flop)
             except Exception:  # noqa: BLE001 - admission never raises
                 pass
         flops = _OP_POINT_FLOPS.get(op, _DEFAULT_POINT_FLOPS)
-        per_point = flops * tau * HOST_CALIBRATION
-        return _Fit(
-            per_point=per_point,
-            overhead=_SEED_OVERHEAD_S,
-            joules_per_point=eps * flops,
-            idle_watts=pi0,
-        )
+        return _Fit(flops * tau * HOST_CALIBRATION, _SEED_OVERHEAD_S)
 
     @staticmethod
     def _request_size(request: dict[str, Any]) -> int:

@@ -196,7 +196,6 @@ def build_requests(
     workload: str = "scalar",
     seed: int = _DEFAULT_SEED,
     timeout_ms: float | None = None,
-    priorities: Sequence[int] | None = None,
 ) -> list[dict[str, Any]]:
     """The deterministic request stream both loops drive.
 
@@ -214,11 +213,9 @@ def build_requests(
     memory, exercising that path too).
 
     ``timeout_ms`` stamps the same per-request deadline onto every
-    body (what deadline-aware batch sizing keys on); ``priorities``
-    cycles its values onto the ``priority`` field (what the power-cap
-    throttle ranks by).  Both ride outside the semantic body — the
-    response cache ignores them — so stamped and unstamped streams
-    still produce identical result bytes.
+    body (what deadline-aware batch sizing keys on).  It rides outside
+    the semantic body — the response cache ignores it — so stamped and
+    unstamped streams still produce identical result bytes.
     """
     if workload not in ("scalar", "mixed", "heavy"):
         raise ValueError(
@@ -307,10 +304,6 @@ def build_requests(
     if timeout_ms is not None:
         for body in requests:
             body["timeout_ms"] = timeout_ms
-    if priorities:
-        cycle = list(priorities)
-        for i, body in enumerate(requests):
-            body["priority"] = cycle[i % len(cycle)]
     return requests
 
 
@@ -341,9 +334,8 @@ def ramp_arrival_schedule(
     """Inhomogeneous-Poisson arrivals ramping ``lo`` → ``hi`` req/s.
 
     The instantaneous rate rises (or falls) linearly over ``seconds``,
-    which is the canonical autoscaler-convergence drive: demand grows
-    smoothly through the scale-up threshold and back down after the
-    window ends.  Sampling is by inversion — unit-rate exponential
+    which drives admission and deadline batching through a smooth
+    change of load.  Sampling is by inversion — unit-rate exponential
     inter-arrivals are mapped through the inverse of the cumulative
     rate ``Λ(t) = lo·t + (hi − lo)·t²/(2·seconds)`` — so, like
     :func:`arrival_schedule`, one seeded ``np.random.default_rng``

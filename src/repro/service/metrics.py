@@ -17,7 +17,7 @@ from collections import Counter as _TallyCounter
 from collections import deque
 from typing import Any, Sequence
 
-__all__ = ["Counter", "Ewma", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -48,33 +48,6 @@ class Gauge:
 
     def dec(self, amount: float = 1.0) -> None:
         self.value -= amount
-
-
-class Ewma:
-    """Exponentially weighted moving average of a sampled quantity.
-
-    The smoothing the cost loop wants for rates and fitted service
-    times: O(1) state, recency-weighted, robust to bursts.  The first
-    sample initialises the average directly (an EWMA decaying from an
-    arbitrary zero would understate every early reading).
-    """
-
-    __slots__ = ("alpha", "value", "count")
-
-    def __init__(self, alpha: float = 0.25):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value = 0.0
-        self.count = 0
-
-    def update(self, sample: float) -> float:
-        self.count += 1
-        if self.count == 1:
-            self.value = sample
-        else:
-            self.value += self.alpha * (sample - self.value)
-        return self.value
 
 
 class Histogram:
@@ -173,7 +146,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._ewmas: dict[str, Ewma] = {}
 
     def counter(self, name: str) -> Counter:
         try:
@@ -200,24 +172,12 @@ class MetricsRegistry:
             )
             return inst
 
-    def ewma(self, name: str, *, alpha: float = 0.25) -> Ewma:
-        try:
-            return self._ewmas[name]
-        except KeyError:
-            inst = self._ewmas[name] = Ewma(alpha)
-            return inst
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready view of every instrument, for the ``stats`` request."""
-        out: dict[str, Any] = {
+        return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
             "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
             "histograms": {
                 k: h.snapshot() for k, h in sorted(self._histograms.items())
             },
         }
-        if self._ewmas:
-            out["ewmas"] = {
-                k: e.value for k, e in sorted(self._ewmas.items())
-            }
-        return out

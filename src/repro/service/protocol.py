@@ -17,11 +17,10 @@ or an error envelope with a machine-readable code::
 
 ``id`` is opaque to the server and echoed verbatim — clients use it to
 multiplex concurrent requests over one connection.  ``timeout_ms`` is a
-per-request deadline and ``priority`` (an integer, default 0) ranks a
-request for the power-cap throttle — priority <= 0 work is shed first
-when aggregate predicted power exceeds the cap.  None of these three
-fields participates in response caching: they affect *when and
-whether* a request is served, never its result bytes.
+per-request deadline.  ``priority`` is accepted for compatibility: it
+must be an integer (default 0) or the request is a ``bad_request``, but
+no server decision reads it.  None of these three fields participates
+in response caching: they never change a request's result bytes.
 
 Error codes
 -----------
@@ -32,9 +31,9 @@ Error codes
 ``overloaded``
     Admission control rejected the request — the 429 of this protocol;
     carries ``"retriable": true`` (nothing ran), so retry with
-    backoff.  Produced by the depth limit (queue full), the cost-based
-    work budget, and the power-cap throttle alike: the envelope is
-    identical, so router failover composes with every admission mode.
+    backoff.  Produced by the depth limit (queue full) and the
+    cost-based work budget alike: the envelope is identical, so router
+    failover composes with every admission mode.
 ``deadline_exceeded``
     The per-request deadline expired before a result was ready.
 ``shutting_down``

@@ -8,10 +8,10 @@ newline-delimited JSON (see :mod:`repro.service.protocol`) — and runs
 every request through the same pipeline:
 
 1. **Admission control** — one in-flight budget vector (request count
-   ``queue_limit``, predicted ``work_budget`` seconds and ``power_cap``
-   watts); beyond it requests are *refused* with an ``overloaded``
-   reply instead of buffered without bound, so latency stays bounded
-   and clients get an explicit backpressure signal.
+   ``queue_limit`` and predicted ``work_budget`` seconds); beyond it
+   requests are *refused* with an ``overloaded`` reply instead of
+   buffered without bound, so latency stays bounded and clients get an
+   explicit backpressure signal.
 2. **Response cache** — TTL+LRU keyed on the canonicalised request
    body (:mod:`repro._canon`, shared with the experiment runner).
 3. **Micro-batching** — concurrent scalar ``eval`` requests coalesce
@@ -40,14 +40,12 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from operator import add, le
 from typing import Any, Callable
 
 import numpy as np
 
 from repro._heap import reserve_heap
 from repro.exceptions import ReproError, ServiceError
-from repro.service.autoscale import AutoScaler
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import TTLCache
 from repro.service.costmodel import CostPredictor
@@ -71,11 +69,10 @@ from repro.units import milliseconds, to_milliseconds
 
 __all__ = ["ServerConfig", "ModelServer"]
 
-#: Admission dimensions: requests in flight, predicted seconds of work,
-#: predicted watts.  A request's demand is ``(1, seconds, watts)``; the
-#: last two are zero when no cost predictor is active.
-_Demand = tuple[int, float, float]
-_COUNT, _WORK, _POWER = range(3)
+#: Admission dimensions: requests in flight and predicted seconds of
+#: work.  A request's demand is ``(1, seconds)``; the seconds are zero
+#: when no cost predictor is active.
+_Demand = tuple[int, float]
 
 #: Refusal message per dimension: the held total, this request's
 #: demand, and the limit the two together would exceed.
@@ -84,13 +81,7 @@ _REFUSALS = (
     "predicted work in flight ({held:.6g} s) plus this request "
     "({demand:.6g} s) exceeds work_budget ({limit:.6g} s); "
     "retry with backoff",
-    "predicted power in flight ({held:.6g} W) plus this request "
-    "({demand:.6g} W) exceeds power_cap ({limit:.6g} W); "
-    "shed at priority {priority}; retry with backoff",
 )
-
-#: :meth:`ModelServer._admit`'s verdict for a request that may wait.
-_PARK = object()
 
 
 class _CacheEntry:
@@ -171,30 +162,11 @@ class ServerConfig:
         admission (strict SI; required when ``admission="cost"``).
         A request whose estimate lands the total exactly *on* the
         budget is admitted; ``0.0`` therefore rejects everything.
-    power_cap:
-        Optional watts bound on aggregate predicted power of admitted
-        work — the serving analogue of the paper's §V-B power cap.
-        Over the cap, priority <= 0 requests are shed immediately;
-        higher priorities may wait up to ``admission_wait`` for power
-        to free before being shed.  Composes with either admission
-        mode.
-    admission_wait:
-        Seconds a request over ``work_budget`` (or, at priority > 0,
-        ``power_cap``) may wait for headroom before the refusal is
-        final; ``0`` (default) refuses immediately.
     deadline_batching:
         When true (and a cost predictor is active), the micro-batcher
         sizes batches against each request's deadline: a batch closes
         when its predicted service time would breach the earliest
         member's ``timeout_ms``.  Scatter stays bit-identical.
-    autoscale_min, autoscale_max:
-        Worker-pool autoscaling bounds; ``autoscale_max=0`` (default)
-        disables autoscaling.  When enabled the pool starts at
-        ``autoscale_min`` workers (or ``workers`` clamped into range)
-        and an :class:`~repro.service.autoscale.AutoScaler` resizes it
-        from observed arrival rate vs. fitted service cost.
-    autoscale_interval:
-        Seconds between autoscaler evaluations.
     """
 
     host: str = "127.0.0.1"
@@ -215,12 +187,7 @@ class ServerConfig:
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     admission: str = "depth"
     work_budget: float | None = None
-    power_cap: float | None = None
-    admission_wait: float = 0.0
     deadline_batching: bool = False
-    autoscale_min: int = 0
-    autoscale_max: int = 0
-    autoscale_interval: float = 0.25
 
 
 class ModelServer(WireFrontend):
@@ -246,32 +213,21 @@ class ModelServer(WireFrontend):
             port=self.config.port,
         )
         self.cache = TTLCache(self.config.cache_size, self.config.cache_ttl)
-        cost_enabled = (
-            self.config.admission == "cost"
-            or self.config.power_cap is not None
-            or self.config.deadline_batching
-            or self.config.autoscale_max > 0
-        )
+        cost_admission = self.config.admission == "cost"
         self.cost: CostPredictor | None = (
             CostPredictor(self.engine, metrics=self.metrics)
-            if cost_enabled
+            if cost_admission or self.config.deadline_batching
             else None
         )
-        workers = self.config.workers
-        if self.config.autoscale_max > 0:
-            workers = min(
-                max(workers, self.config.autoscale_min),
-                self.config.autoscale_max,
-            )
         self.pool: WorkerPool | None = (
             WorkerPool(
-                workers,
+                self.config.workers,
                 shard_by=self.config.shard_by,
                 queue_limit=self.config.worker_queue_limit,
                 plan_cache_size=self.config.plan_cache_size,
                 metrics=self.metrics,
             )
-            if workers > 0
+            if self.config.workers > 0
             else None
         )
         self.batcher = MicroBatcher(
@@ -296,38 +252,18 @@ class ModelServer(WireFrontend):
         # registered only when a predictor is active, so plain
         # depth-admission servers keep their exact stats surface;
         # without one they live in a detached registry nobody reads.
-        cost_admission = self.config.admission == "cost"
         self._limits: _Demand = (
             self.config.queue_limit,
             self.config.work_budget if cost_admission else float("inf"),
-            self.config.power_cap or float("inf"),
         )
-        self._held: _Demand = (0, 0.0, 0.0)
-        self._power_hwm = 0.0
-        self._admission_waiters: list[asyncio.Future] = []
+        self._held: _Demand = (0, 0.0)
         reg = self.metrics if self.cost is not None else MetricsRegistry()
         self._admission_accepted = reg.counter("admission_accepted_total")
-        self._admission_queued = reg.counter("admission_queued_total")
         self._admission_rejected = reg.counter("admission_rejected_total")
-        self._admission_shed = reg.counter("admission_shed_total")
-        self._throttle_delayed = reg.counter("throttle_delayed_total")
         self._held_gauges = (
             self.metrics.gauge("queue_depth"),
             reg.gauge("predicted_work_s"),
-            reg.gauge("predicted_power_w"),
         )
-        self._service_ewma = reg.ewma("predicted_service_s")
-        self.autoscaler: AutoScaler | None = None
-        if self.config.autoscale_max > 0 and self.pool is not None:
-            self.autoscaler = AutoScaler(
-                self.pool,
-                min_workers=self.config.autoscale_min,
-                max_workers=self.config.autoscale_max,
-                interval=self.config.autoscale_interval,
-                arrivals=lambda: self._requests_total.value,
-                service_seconds=lambda: self._service_ewma.value,
-                metrics=self.metrics,
-            )
 
     # ------------------------------------------------------------------
     # Request pipeline (transport-independent)
@@ -364,10 +300,6 @@ class ModelServer(WireFrontend):
             return error_response(
                 request_id, BAD_REQUEST, "request needs a string 'op' field"
             )
-        if self.autoscaler is not None and not self.autoscaler.started:
-            # Started lazily from the first request so the periodic
-            # task binds to whichever loop actually serves traffic.
-            self.autoscaler.start()
         # Control-plane operations bypass admission and caching: health
         # checks and stats must work on a saturated or draining server.
         if op == "ping":
@@ -383,6 +315,8 @@ class ModelServer(WireFrontend):
                 request_id, SHUTTING_DOWN, "server is draining",
                 retriable=True,
             )
+        # ``priority`` is read by no decision, but stays a validated wire
+        # field so existing clients get the same replies.
         priority = request.get("priority", 0)
         if isinstance(priority, bool) or not isinstance(priority, int):
             return error_response(
@@ -390,12 +324,9 @@ class ModelServer(WireFrontend):
                 BAD_REQUEST,
                 f"priority must be an integer, got {priority!r}",
             )
-        est = self.cost and self.cost.estimate_request(request)
-        demand = (1, est.seconds, est.watts) if est else (1, 0.0, 0.0)
-        refusal = self._admit(request_id, priority, demand)
-        if refusal is _PARK:
-            await self._await_admission(demand)
-            refusal = self._admit(request_id, priority, demand, parked=True)
+        work = self.cost and self.cost.estimate_request(request)
+        demand = (1, work or 0.0)
+        refusal = self._admit(request_id, demand)
         if refusal is not None:
             return refusal
         started = time.perf_counter()
@@ -487,16 +418,13 @@ class ModelServer(WireFrontend):
             elapsed_ms = to_milliseconds(time.perf_counter() - started)
             # Subtract, clamped at zero: float summation drift must
             # never wedge the budget open or shut.
-            count, work, watts = self._held
+            count, held_work = self._held
             self._held = held = (
                 count - demand[0],
-                work - demand[1] if work > demand[1] else 0.0,
-                watts - demand[2] if watts > demand[2] else 0.0,
+                held_work - demand[1] if held_work > demand[1] else 0.0,
             )
             if not held[0]:
                 self._idle.set()
-            if self._admission_waiters:
-                self._notify_admission()
             self._requests_total.inc()
             self._latency_ms.observe(elapsed_ms)
             log = self.config.access_log
@@ -512,110 +440,33 @@ class ModelServer(WireFrontend):
                 )
 
     # ------------------------------------------------------------------
-    # Admission: one (count, seconds, watts) budget vector
+    # Admission: one (count, seconds) budget vector
     # ------------------------------------------------------------------
 
-    def _admit(
-        self,
-        request_id: Any,
-        priority: int,
-        demand: _Demand,
-        *,
-        parked: bool = False,
-    ) -> Any:
-        """Hold ``demand`` if the whole vector fits, else park or refuse.
+    def _admit(self, request_id: Any, demand: _Demand) -> dict | None:
+        """Hold ``demand`` if the whole vector fits, else refuse.
 
         Limits are inclusive: a total landing exactly on its limit is
-        admitted.  Returns ``None`` once the demand is held, :data:`_PARK`
-        when the request may wait (the caller awaits
-        :meth:`_await_admission`, then asks again with ``parked=True``),
-        else the retriable ``overloaded`` envelope naming the first
-        limit exceeded.
-
-        The wait rule: a work-budget refusal may park, a power refusal
-        may park only at priority > 0, a full queue never parks; and
-        parking needs ``admission_wait > 0`` and a demand that fits
-        every limit on its own.
+        admitted.  Returns ``None`` once the demand is held, else the
+        retriable ``overloaded`` envelope naming the first limit
+        exceeded.
         """
         held, limits = self._held, self._limits
-        want = (held[0] + demand[0], held[1] + demand[1], held[2] + demand[2])
-        if (
-            want[0] <= limits[0]
-            and want[1] <= limits[1]
-            and want[2] <= limits[2]
-            and not self._draining
-        ):
+        want = (held[0] + demand[0], held[1] + demand[1])
+        if want[0] <= limits[0] and want[1] <= limits[1]:
             self._held = want
             if want[0] == 1:
                 self._idle.clear()
-            if want[2] > self._power_hwm:
-                self._power_hwm = want[2]
-            self._service_ewma.update(demand[1])
             self._admission_accepted.inc()
             return None
-        over = [dim for dim in range(3) if want[dim] > limits[dim]]
-        if not over:  # parked, fits, but the server started draining
-            return error_response(
-                request_id, SHUTTING_DOWN, "server is draining",
-                retriable=True,
-            )
-        if (
-            not parked
-            and self.config.admission_wait > 0
-            and _COUNT not in over
-            and (priority > 0 or _POWER not in over)
-            and all(map(le, demand, limits))
-        ):
-            if _WORK in over:
-                self._admission_queued.inc()
-            if _POWER in over:
-                self._throttle_delayed.inc()
-            return _PARK
-        dim = over[0]
+        dim = 0 if want[0] > limits[0] else 1
         self._overloaded_total.inc()
-        if dim == _WORK:
+        if dim:
             self._admission_rejected.inc()
-        elif dim == _POWER:
-            self._admission_shed.inc()
         reason = _REFUSALS[dim].format(
-            held=held[dim],
-            demand=demand[dim],
-            limit=limits[dim],
-            priority=priority,
+            held=held[dim], demand=demand[dim], limit=limits[dim]
         )
         return error_response(request_id, OVERLOADED, reason, retriable=True)
-
-    async def _await_admission(self, demand: _Demand) -> None:
-        """Wait up to ``admission_wait`` for the whole ``demand`` to fit.
-
-        Wakes on every release (see ``handle_request``'s ``finally``);
-        returns on fit, timeout or drain, and the caller's second
-        :meth:`_admit` decides which it was.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.admission_wait
-        while not self._draining and not all(
-            map(le, map(add, self._held, demand), self._limits)
-        ):
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                return
-            waiter: asyncio.Future = loop.create_future()
-            self._admission_waiters.append(waiter)
-            try:
-                await asyncio.wait_for(waiter, remaining)
-            except (asyncio.TimeoutError, TimeoutError):
-                return
-            finally:
-                if waiter in self._admission_waiters:
-                    self._admission_waiters.remove(waiter)
-
-    def _notify_admission(self) -> None:
-        """Wake every queued admission waiter (work was released)."""
-        waiters, self._admission_waiters = self._admission_waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
 
     def _deadline(self, request: dict[str, Any]) -> float | None:
         timeout_ms = request.get("timeout_ms")
@@ -799,16 +650,10 @@ class ModelServer(WireFrontend):
             snapshot["admission"] = {
                 "mode": self.config.admission,
                 "work_budget": self.config.work_budget,
-                "power_cap": self.config.power_cap,
-                "admission_wait": self.config.admission_wait,
                 "predicted_work_s": self._held[1],
-                "predicted_power_w": self._held[2],
-                "predicted_power_hwm_w": self._power_hwm,
             }
         if self.pool is not None:
             snapshot["workers"] = self.pool.stats()
-        if self.autoscaler is not None:
-            snapshot["autoscale"] = self.autoscaler.stats()
         return snapshot
 
     # ------------------------------------------------------------------
@@ -825,9 +670,6 @@ class ModelServer(WireFrontend):
         listener, and only then shut the workers down.
         """
         self._draining = True
-        self._notify_admission()  # queued admissions must fail fast now
-        if self.autoscaler is not None:
-            await self.autoscaler.stop()
         if self._tcp_server is not None:
             self._tcp_server.close()
         if drain:
@@ -855,19 +697,6 @@ def _validate_config(config: ServerConfig) -> None:
     if config.work_budget is not None and config.work_budget < 0:
         raise ValueError(
             f"work_budget must be >= 0, got {config.work_budget}"
-        )
-    if config.power_cap is not None and config.power_cap <= 0:
-        raise ValueError(f"power_cap must be > 0, got {config.power_cap}")
-    if config.admission_wait < 0:
-        raise ValueError(
-            f"admission_wait must be >= 0, got {config.admission_wait}"
-        )
-    if config.autoscale_max > 0 and not (
-        1 <= config.autoscale_min <= config.autoscale_max
-    ):
-        raise ValueError(
-            "autoscaling needs 1 <= autoscale_min <= autoscale_max, got "
-            f"min={config.autoscale_min} max={config.autoscale_max}"
         )
 
 

@@ -419,9 +419,7 @@ class WorkerPool:
         self._ctx = get_context("spawn")
         self._closing = False
         self._started = time.perf_counter()
-        self._metrics = metrics = metrics or MetricsRegistry()
-        self.scale_ups = 0
-        self.scale_downs = 0
+        metrics = metrics or MetricsRegistry()
         self._shards = [_Shard(i) for i in range(workers)]
         for shard in self._shards:
             self._spawn(shard)
@@ -648,72 +646,6 @@ class WorkerPool:
     # Shutdown
     # ------------------------------------------------------------------
 
-    def _spawn_warm(self, shard: _Shard) -> None:
-        """Spawn plus a ping roundtrip, off the event loop.
-
-        Runs on the (brand-new, jobless) shard's executor so worker
-        boot — interpreter start, numpy import, engine build — never
-        blocks the serving loop; the ping means the first real job
-        routed here pays no cold-start.
-        """
-        self._spawn(shard)
-        self._roundtrip(shard, "ping", None)
-
-    async def resize(self, workers: int, *, timeout: float = 10.0) -> None:
-        """Grow or shrink the pool to ``workers`` shards, losing nothing.
-
-        Scale-up spawns and warms the new shards concurrently before
-        routing reaches them.  Scale-down retires the highest-index
-        shards through the same drain machinery as :meth:`close`:
-        routing is cut over first (``self.workers`` and ``_shards``
-        shrink together, synchronously — :meth:`submit` never awaits
-        between shard lookup and executor handoff, so no job can slip
-        into a retiring shard), then each retiring shard's shutdown
-        sentinel queues *behind* its in-flight jobs on the executor —
-        outstanding work completes and replies before the worker
-        exits, so scale-down never drops an in-flight reply.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if self._closing:
-            raise ServiceError(INTERNAL, "worker pool is closed")
-        if workers == self.workers:
-            return
-        loop = asyncio.get_running_loop()
-        if workers > self.workers:
-            fresh = [_Shard(i) for i in range(self.workers, workers)]
-            await asyncio.gather(
-                *(
-                    loop.run_in_executor(s.executor, self._spawn_warm, s)
-                    for s in fresh
-                )
-            )
-            while len(self._depth_gauges) < workers:
-                self._depth_gauges.append(
-                    self._metrics.gauge(
-                        f"worker_queue_depth_{len(self._depth_gauges)}"
-                    )
-                )
-            self._shards.extend(fresh)
-            self.workers = workers
-            self.scale_ups += 1
-            return
-        retiring = self._shards[workers:]
-        self._shards = self._shards[:workers]
-        self.workers = workers
-        self.scale_downs += 1
-        await asyncio.gather(
-            *(
-                loop.run_in_executor(
-                    shard.executor, self._shutdown_shard, shard, timeout
-                )
-                for shard in retiring
-            )
-        )
-        for shard in retiring:
-            shard.executor.shutdown(wait=False)
-            self._drop_rings(shard)
-
     async def close(self, *, force: bool = False, timeout: float = 10.0) -> None:
         """Stop every worker and join it — no zombies either way.
 
@@ -787,8 +719,6 @@ class WorkerPool:
             "shard_by": self.shard_by,
             "queue_limit": self.queue_limit,
             "uptime_seconds": round(uptime, 6),
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
             "shards": shards,
             "ring": {
                 "slot_size": SLOT_SIZE,

@@ -10,12 +10,9 @@ The load-bearing assertions:
   every positive-cost request, and the refusal is byte-identical to
   the protocol's retriable ``overloaded`` envelope — router failover
   composes with no client change;
-* the power cap sheds priority <= 0 immediately and lets higher
-  priorities wait for in-flight work to release;
-* count, work and power are one admission vector: ``queue_limit``
-  binds under cost admission too, a request whose own demand exceeds a
-  limit is refused without waiting, and when work and power both bind
-  only a priority > 0 request waits (for both);
+* count and work are one admission vector: ``queue_limit`` binds
+  under cost admission too, and a request over either limit is refused
+  within the loop iteration it arrived in — nothing parks;
 * deadline-aware batch sizing moves batch *boundaries*, never batch
   *values*: governed servers answer bit-identically to a plain server
   at ``workers`` 0 and 4.
@@ -31,7 +28,6 @@ import pytest
 from repro import units
 from repro.service.costmodel import (
     _SEED_OVERHEAD_S,
-    CostEstimate,
     CostPredictor,
     HOST_CALIBRATION,
 )
@@ -61,35 +57,23 @@ class TestPrediction:
         engine = predictor.engine
         for machine in MACHINES:
             params = engine.machine(machine)
-            estimate = predictor.predict("eval", machine, "energy", 1)
+            seconds = predictor.predict("eval", machine, "energy", 1)
             expected_s = (
                 _SEED_OVERHEAD_S
                 + 16.0 * float(params.tau_flop) * HOST_CALIBRATION
             )
-            assert estimate.seconds == pytest.approx(expected_s)
-            expected_j = (
-                float(params.eps_flop) * 16.0
-                + float(params.pi0) * estimate.seconds
-            )
-            assert estimate.joules == pytest.approx(expected_j)
+            assert seconds == pytest.approx(expected_s)
 
     def test_seed_scales_linearly_in_size(self):
         predictor = make_predictor()
         one = predictor.predict("eval", MACHINES[0], "energy", 1)
         ten = predictor.predict("eval", MACHINES[0], "energy", 10)
-        per_point = (ten.seconds - one.seconds) / 9.0
-        assert one.seconds == pytest.approx(_SEED_OVERHEAD_S + per_point)
+        per_point = (ten - one) / 9.0
+        assert one == pytest.approx(_SEED_OVERHEAD_S + per_point)
 
     def test_unknown_machine_falls_back_not_raises(self):
         predictor = make_predictor()
-        estimate = predictor.predict("eval", "no-such-machine", None, 4)
-        assert estimate.seconds > 0
-        assert estimate.joules > 0
-
-    def test_watts_is_joules_over_seconds(self):
-        estimate = CostEstimate(2.0, 50.0)
-        assert estimate.watts == pytest.approx(25.0)
-        assert CostEstimate(0.0, 1.0).watts == 0.0
+        assert predictor.predict("eval", "no-such-machine", None, 4) > 0
 
     def test_control_ops_get_no_estimate(self):
         predictor = make_predictor()
@@ -117,22 +101,22 @@ class TestRefinement:
         for _ in range(40):
             predictor.observe("eval", MACHINES[0], "energy", 8, observed)
         estimate = predictor.predict("eval", MACHINES[0], "energy", 8)
-        assert estimate.seconds == pytest.approx(observed, rel=1e-9)
+        assert estimate == pytest.approx(observed, rel=1e-9)
 
     def test_first_observation_snaps_the_fit(self):
         predictor = make_predictor()
         predictor.observe("eval", MACHINES[0], "energy", 4, 0.01)
         estimate = predictor.predict("eval", MACHINES[0], "energy", 4)
-        assert estimate.seconds == pytest.approx(0.01)
+        assert estimate == pytest.approx(0.01)
 
     def test_nonpositive_and_nonfinite_observations_ignored(self):
         predictor = make_predictor()
-        before = predictor.predict("eval", MACHINES[0], "energy", 1).seconds
+        before = predictor.predict("eval", MACHINES[0], "energy", 1)
         predictor.observe("eval", MACHINES[0], "energy", 1, 0.0)
         predictor.observe("eval", MACHINES[0], "energy", 1, -1.0)
         predictor.observe("eval", MACHINES[0], "energy", 1, float("nan"))
         predictor.observe("eval", MACHINES[0], "energy", 1, float("inf"))
-        after = predictor.predict("eval", MACHINES[0], "energy", 1).seconds
+        after = predictor.predict("eval", MACHINES[0], "energy", 1)
         assert after == before
         assert predictor.stats()["observations"] == 0
 
@@ -140,7 +124,7 @@ class TestRefinement:
         metrics = MetricsRegistry()
         predictor = make_predictor(metrics=metrics)
         predicted = predictor.predict("eval", MACHINES[0], "energy", 2)
-        observed = predicted.seconds * 2.0
+        observed = predicted * 2.0
         predictor.observe("eval", MACHINES[0], "energy", 2, observed)
         hist = metrics.snapshot()["histograms"]["cost_rel_error_pct"]
         assert hist["count"] == 1
@@ -184,7 +168,7 @@ def eval_body(machine=MACHINES[0], **extra):
     return body
 
 
-def single_estimate(body) -> CostEstimate:
+def single_estimate(body) -> float:
     """What any freshly seeded server predicts for ``body``."""
     return CostPredictor(EvalEngine()).estimate_request(dict(body))
 
@@ -196,7 +180,7 @@ class TestCostAdmission:
         async def scenario():
             server = ModelServer(ServerConfig(
                 cache_size=0, flush_window=0.0,
-                admission="cost", work_budget=estimate.seconds,
+                admission="cost", work_budget=estimate,
             ))
             try:
                 return await server.handle_request(eval_body())
@@ -248,35 +232,11 @@ class TestCostAdmission:
             "req-1",
             OVERLOADED,
             f"predicted work in flight (0 s) plus this request "
-            f"({estimate.seconds:.6g} s) exceeds work_budget (0 s); "
+            f"({estimate:.6g} s) exceeds work_budget (0 s); "
             "retry with backoff",
             retriable=True,
         )
         assert encode(response) == encode(expected)
-
-    def test_admission_wait_admits_after_release(self):
-        estimate = single_estimate(eval_body())
-
-        async def scenario():
-            server = ModelServer(ServerConfig(
-                cache_size=0, flush_window=0.0,
-                admission="cost", work_budget=estimate.seconds,
-                admission_wait=5.0,
-            ))
-            try:
-                first, second = await asyncio.gather(
-                    server.handle_request(eval_body(id=1)),
-                    server.handle_request(eval_body(id=2)),
-                )
-                stats = server.stats()
-            finally:
-                await server.stop()
-            return first, second, stats
-
-        first, second, stats = run(scenario())
-        assert first["ok"] is True and second["ok"] is True
-        assert stats["counters"]["admission_accepted_total"] == 2
-        assert stats["counters"]["admission_queued_total"] == 1
 
     def test_work_gauge_returns_to_zero_after_service(self):
         async def scenario():
@@ -299,10 +259,6 @@ class TestCostAdmission:
             ModelServer(ServerConfig(admission="cost"))
         with pytest.raises(ValueError, match="admission"):
             ModelServer(ServerConfig(admission="vibes"))
-        with pytest.raises(ValueError, match="power_cap"):
-            ModelServer(ServerConfig(power_cap=0.0))
-        with pytest.raises(ValueError, match="admission_wait"):
-            ModelServer(ServerConfig(admission_wait=-1.0))
 
     def test_bad_priority_is_bad_request(self):
         async def scenario():
@@ -320,69 +276,6 @@ class TestCostAdmission:
         response = run(scenario())
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
-
-
-class TestPowerCap:
-    def test_priority_zero_is_shed_immediately(self):
-        estimate = single_estimate(eval_body())
-
-        async def scenario():
-            server = ModelServer(ServerConfig(
-                cache_size=0, flush_window=0.0,
-                power_cap=estimate.watts / 2.0, admission_wait=5.0,
-            ))
-            try:
-                response = await server.handle_request(eval_body(id=9))
-                stats = server.stats()
-            finally:
-                await server.stop()
-            return response, stats
-
-        response, stats = run(scenario())
-        assert response["ok"] is False
-        assert response["error"]["code"] == OVERLOADED
-        assert response["error"]["retriable"] is True
-        assert "power_cap" in response["error"]["message"]
-        assert stats["counters"]["admission_shed_total"] == 1
-        assert stats["counters"]["throttle_delayed_total"] == 0
-
-    def test_priority_one_waits_for_power_release(self):
-        estimate = single_estimate(eval_body())
-
-        async def scenario():
-            server = ModelServer(ServerConfig(
-                cache_size=0, flush_window=0.0,
-                power_cap=estimate.watts, admission_wait=5.0,
-            ))
-            try:
-                first, second = await asyncio.gather(
-                    server.handle_request(eval_body(id=1)),
-                    server.handle_request(eval_body(id=2, priority=1)),
-                )
-                stats = server.stats()
-            finally:
-                await server.stop()
-            return first, second, stats
-
-        first, second, stats = run(scenario())
-        assert first["ok"] is True and second["ok"] is True
-        assert stats["counters"]["throttle_delayed_total"] == 1
-        assert stats["counters"]["admission_shed_total"] == 0
-        assert stats["admission"]["predicted_power_hwm_w"] > 0
-
-    def test_power_gauge_returns_to_zero(self):
-        async def scenario():
-            server = ModelServer(ServerConfig(
-                cache_size=0, flush_window=0.0, power_cap=1e6,
-            ))
-            try:
-                await server.handle_request(eval_body())
-                return server.stats()
-            finally:
-                await server.stop()
-
-        stats = run(scenario())
-        assert stats["admission"]["predicted_power_w"] == pytest.approx(0.0)
 
 
 class TestDeadlineBatchingIdentity:
@@ -436,7 +329,7 @@ class TestDeadlineBatchingIdentity:
 
 
 class TestBudgetVector:
-    """One (count, seconds, watts) check: every limit binds in every mode."""
+    """One (count, seconds) check: every limit binds in every mode."""
 
     def test_queue_limit_holds_under_cost_admission(self):
         async def scenario():
@@ -467,134 +360,57 @@ class TestBudgetVector:
         assert stats["counters"]["overloaded_total"] == 7
         assert stats["inflight"] == 0
 
-    @staticmethod
-    def _lone_request(config: ServerConfig, body) -> tuple[dict, float, dict]:
-        async def scenario():
-            server = ModelServer(config)
-            loop = asyncio.get_running_loop()
-            try:
-                started = loop.time()
-                response = await server.handle_request(body)
-                elapsed = loop.time() - started
-                stats = server.stats()
-            finally:
-                await server.stop()
-            return response, elapsed, stats
-
-        return run(scenario())
-
-    def test_request_over_work_budget_alone_is_refused_at_once(self):
-        estimate = single_estimate(eval_body())
-        response, elapsed, stats = self._lone_request(
-            ServerConfig(
-                cache_size=0, flush_window=0.0, admission="cost",
-                work_budget=estimate.seconds / 2.0, admission_wait=5.0,
-            ),
-            eval_body(id=1),
-        )
-        assert response["ok"] is False
-        assert response["error"]["code"] == OVERLOADED
-        assert "work_budget" in response["error"]["message"]
-        assert elapsed < 0.5
-        assert stats["counters"]["admission_queued_total"] == 0
-        assert stats["counters"]["throttle_delayed_total"] == 0
-        assert stats["counters"]["admission_rejected_total"] == 1
-
-    def test_priority_request_over_power_cap_alone_is_refused_at_once(self):
-        estimate = single_estimate(eval_body())
-        response, elapsed, stats = self._lone_request(
-            ServerConfig(
-                cache_size=0, flush_window=0.0,
-                power_cap=estimate.watts / 2.0, admission_wait=5.0,
-            ),
-            eval_body(id=1, priority=1),
-        )
-        assert response["ok"] is False
-        assert response["error"]["code"] == OVERLOADED
-        assert "power_cap" in response["error"]["message"]
-        assert elapsed < 0.5
-        assert stats["counters"]["admission_queued_total"] == 0
-        assert stats["counters"]["throttle_delayed_total"] == 0
-        assert stats["counters"]["admission_shed_total"] == 1
-
-    @staticmethod
-    def _work_and_power_bind(priority: int):
-        """Two concurrent requests; the second exceeds budget *and* cap."""
+    def test_over_budget_is_refused_in_one_loop_iteration(self):
+        """A request over the work budget gets its refusal before the
+        loop turns once: there is no admission queue to park in, and the
+        stats carry no parking or power instruments."""
         estimate = single_estimate(eval_body())
 
         async def scenario():
             server = ModelServer(ServerConfig(
                 cache_size=0, flush_window=0.0,
-                admission="cost", work_budget=estimate.seconds,
-                power_cap=estimate.watts, admission_wait=5.0,
+                admission="cost", work_budget=estimate * 1.5,
             ))
-            loop = asyncio.get_running_loop()
             try:
-                started = loop.time()
-                first, second = await asyncio.gather(
-                    server.handle_request(eval_body(id=1)),
-                    server.handle_request(eval_body(id=2, priority=priority)),
+                first = asyncio.ensure_future(
+                    server.handle_request(eval_body(id=1))
                 )
-                elapsed = loop.time() - started
+                second = asyncio.ensure_future(
+                    server.handle_request(eval_body(id=2))
+                )
+                # One yield runs each request's first step: the
+                # refusal must be final by then, the admitted one not.
+                await asyncio.sleep(0)
+                refused_in_one_iteration = second.done() and not first.done()
+                refused = await second
+                stats_during = server.stats()
+                accepted = await first
                 stats = server.stats()
             finally:
                 await server.stop()
-            return first, second, elapsed, stats
+            return (
+                accepted, refused, refused_in_one_iteration, stats_during,
+                stats,
+            )
 
-        return run(scenario())
-
-    def test_work_and_power_both_bind_priority_zero_is_refused(self):
-        first, second, elapsed, stats = self._work_and_power_bind(0)
-        assert first["ok"] is True
-        assert second["ok"] is False
-        assert second["error"]["code"] == OVERLOADED
-        assert second["error"]["retriable"] is True
-        # The first limit exceeded names the refusal: work before power.
-        assert "work_budget" in second["error"]["message"]
-        assert elapsed < 0.5  # a power refusal at priority 0 never parks
+        accepted, refused, one_iteration, during, stats = run(scenario())
+        assert accepted["ok"] is True
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == OVERLOADED
+        assert refused["error"]["retriable"] is True
+        assert "work_budget" in refused["error"]["message"]
+        assert one_iteration
+        assert during["inflight"] == 1
+        assert set(stats["admission"]) == {
+            "mode", "work_budget", "predicted_work_s",
+        }
+        assert stats["admission"]["predicted_work_s"] == pytest.approx(0.0)
         counters = stats["counters"]
+        for name in (
+            "admission_queued_total",
+            "admission_shed_total",
+            "throttle_delayed_total",
+        ):
+            assert name not in counters
         assert counters["admission_accepted_total"] == 1
         assert counters["admission_rejected_total"] == 1
-        assert counters["admission_queued_total"] == 0
-        assert counters["throttle_delayed_total"] == 0
-
-    def test_work_and_power_both_bind_priority_one_waits_for_both(self):
-        first, second, _, stats = self._work_and_power_bind(1)
-        assert first["ok"] is True and second["ok"] is True
-        counters = stats["counters"]
-        assert counters["admission_accepted_total"] == 2
-        assert counters["admission_queued_total"] == 1
-        assert counters["throttle_delayed_total"] == 1
-        assert counters["admission_rejected_total"] == 0
-        assert counters["admission_shed_total"] == 0
-        admission = stats["admission"]
-        assert admission["predicted_work_s"] == pytest.approx(0.0)
-        assert admission["predicted_power_w"] == pytest.approx(0.0)
-        assert admission["predicted_power_hwm_w"] > 0
-
-    def test_drain_refuses_parked_request_at_once(self):
-        estimate = single_estimate(eval_body())
-
-        async def scenario():
-            server = ModelServer(ServerConfig(
-                cache_size=0, flush_window=0.2,
-                admission="cost", work_budget=estimate.seconds,
-                admission_wait=5.0,
-            ))
-            loop = asyncio.get_running_loop()
-            started = loop.time()
-            first = asyncio.ensure_future(
-                server.handle_request(eval_body(id=1))
-            )
-            second = asyncio.ensure_future(
-                server.handle_request(eval_body(id=2))
-            )
-            await asyncio.sleep(0.05)  # first batched, second parked
-            await server.stop()
-            return await first, await second, loop.time() - started
-
-        first, second, elapsed = run(scenario())
-        assert first["ok"] is True
-        assert second["ok"] is False
-        assert second["error"]["retriable"] is True
-        assert elapsed < 2.0

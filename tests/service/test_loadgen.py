@@ -329,7 +329,7 @@ class TestFailFast:
         "kwargs",
         [
             {"config": ServerConfig(workers=2)},
-            {"config": ServerConfig(autoscale_max=2)},
+            {"config": ServerConfig(deadline_batching=True)},
             {"config": ServerConfig(plan_cache_size=4)},
             {"config": ServerConfig(plan_cache_size=0)},
             # Even an all-defaults config describes a local server.

@@ -42,6 +42,10 @@ from repro.service.router import (
 from repro.service.server import ModelServer, ServerConfig
 
 MACHINES = ("gtx580-double", "i7-950-double", "gtx580-single")
+CATALOG_MACHINES = (
+    "gtx580-double", "gtx580-single", "i7-950-double", "i7-950-single",
+    "keckler-fermi",
+)
 
 
 def run(coro):
@@ -145,18 +149,26 @@ class TestByteIdentity:
                 RouterConfig(replication=2, base_delay=0.001),
             )
             rhost, rport = await router.start()
+            dead = None
             try:
                 healthy = await collect_bytes(rhost, rport, "ndjson")
-                # Kill one backend; every key now fails over to the
-                # surviving replica.
-                await backends[0].stop()
+                # Kill the first request's primary, so at least that key
+                # fails over to the surviving replica (ring placement
+                # hashes ephemeral ports: a fixed backend may be the
+                # primary of no key in the stream).
+                primary = router.ring.replicas(
+                    router.routing_key(request_stream()[0])
+                )[0]
+                dead = backends[addresses.index(primary)]
+                await dead.stop()
                 degraded = await collect_bytes(rhost, rport, "ndjson")
                 assert degraded == healthy
                 assert router.metrics.counter("failovers_total").value > 0
             finally:
                 await router.stop()
-                for backend in backends[1:]:
-                    await backend.stop()
+                for backend in backends:
+                    if backend is not dead:
+                        await backend.stop()
 
         run(scenario())
 
@@ -278,30 +290,49 @@ class TestNdjsonBackendHop:
             writer.close()
 
         async def scenario():
-            listener = await asyncio.start_server(torn, "127.0.0.1", 0)
-            addresses = ["%s:%d" % listener.sockets[0].getsockname()[:2]]
-            backends = []
+            backends, replica = [], []
             if with_replica:
                 backends = [make_backend(cache_size=64)]
-                addresses.append("%s:%d" % await backends[0].start())
-            router = RouterServer(
-                addresses,
-                RouterConfig(
-                    backend_wire="ndjson",
-                    replication=len(addresses),
-                    base_delay=0.001,
-                    health_interval=60.0,
-                ),
-            )
-            # A machine whose first replica is the torn backend, so the
-            # tear is always hit (and, with a replica, failed over).
-            machine = next(
-                key for key in ("gtx580-double", "gtx580-single",
-                                "i7-950-double", "i7-950-single",
-                                "keckler-fermi")
-                if router.ring.replicas(router.routing_key(
-                    {"machine": key}))[0] == addresses[0]
-            )
+                replica = ["%s:%d" % await backends[0].start()]
+            # Bind the torn listener until some machine's first replica
+            # is it, so the tear is always hit (and, with a replica,
+            # failed over): placement hashes the ephemeral port.
+            tried = []
+            for _ in range(20):
+                listener = await asyncio.start_server(torn, "127.0.0.1", 0)
+                addresses = [
+                    "%s:%d" % listener.sockets[0].getsockname()[:2], *replica
+                ]
+                router = RouterServer(
+                    addresses,
+                    RouterConfig(
+                        backend_wire="ndjson",
+                        replication=len(addresses),
+                        base_delay=0.001,
+                        health_interval=60.0,
+                    ),
+                )
+                machine = next(
+                    (
+                        key for key in CATALOG_MACHINES
+                        if router.ring.replicas(router.routing_key(
+                            {"machine": key}))[0] == addresses[0]
+                    ),
+                    None,
+                )
+                if machine is not None:
+                    break
+                tried.append(addresses[0])
+                listener.close()
+                await listener.wait_closed()
+            else:
+                for backend in backends:
+                    await backend.stop()
+                raise AssertionError(
+                    f"no catalog machine has the torn listener as first "
+                    f"replica after {len(tried)} binds {tried} "
+                    f"(replica {replica})"
+                )
             request = {"id": 5, "op": "describe", "machine": machine}
             rhost, rport = await router.start()
             try:

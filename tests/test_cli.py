@@ -303,12 +303,7 @@ SHARED_SERVER_FLAGS = [
     ("--plan-cache-size", "0"),
     ("--admission", "cost"),
     ("--work-budget", "0.5"),
-    ("--power-cap", "90"),
-    ("--admission-wait-ms", "5"),
     ("--deadline-batching",),
-    ("--autoscale-min", "1"),
-    ("--autoscale-max", "3"),
-    ("--autoscale-interval", "0.5"),
 ]
 
 
