@@ -38,8 +38,11 @@ import numpy as np
 
 from repro.cachesim.cache import CacheHierarchy, HierarchyCounters
 from repro.exceptions import SimulationError
-from repro.fmm.counters import POINT_BYTES, TrafficCounters, count_traffic
+from repro.fmm.counters import (
+    POINT_BYTES, TrafficCounters, count_traffic, sweep_lengths,
+)
 from repro.fmm.tree import Octree
+from repro.fmm.ulist import UList
 from repro.fmm.variants import MemoryPath, Variant
 
 __all__ = [
@@ -121,65 +124,31 @@ def _expand_lines(
     return np.repeat(first, counts) + _ragged_arange(counts)
 
 
-#: Per-tree flat geometry (leaf sizes, CSR point storage, U-list CSR).
-#: These are variant-independent, so a study compiling many variants on
-#: one tree pays the Python-side list flattening once.  Keyed by tree
-#: identity with a weakref eviction callback (trees are unhashable);
-#: the entry pins the ulist it was built from and is rebuilt if a
-#: different ulist object arrives for the same tree.
-_GEOMETRY_CACHE: dict[int, tuple] = {}
+#: Compiled traces per tree, keyed by tree identity with a weakref
+#: eviction callback (trees are unhashable); the entry pins the ulist
+#: its traces were compiled from and starts afresh if a different ulist
+#: object arrives for the same tree.
+_TRACE_MEMO: dict[int, tuple] = {}
 
 
-def _flat_geometry(tree: Octree, ulist: list[list[int]]) -> tuple:
-    """Flat geometry plus the entry's compiled-trace memo dict."""
+def _traces(tree: Octree, ulist: UList) -> dict[tuple[int, int], CompiledTrace]:
+    """The memo of traces compiled from ``(tree, ulist)``."""
     key = id(tree)
-    entry = _GEOMETRY_CACHE.get(key)
-    if entry is not None:
-        tree_ref, cached_ulist, geometry, traces = entry
-        if tree_ref() is tree and cached_ulist is ulist:
-            return geometry, traces
-
-    leaves = tree.leaves
-    n_leaves = len(leaves)
-    # Point indices stay well inside int32 for any tree this package
-    # can build; positions within one trace are checked per call.
-    point_dtype = np.int32 if tree.n_points < (1 << 31) else np.int64
-
-    # Leaf geometry as flat arrays: sizes, CSR point-index storage.
-    sizes = np.array([leaf.points.size for leaf in leaves], dtype=np.int64)
-    points = (
-        np.concatenate([leaf.points for leaf in leaves]).astype(point_dtype)
-        if n_leaves
-        else np.zeros(0, dtype=point_dtype)
-    )
-    offsets = np.append(0, np.cumsum(sizes))
-
-    # U-list as CSR: neighbour leaf indices plus, per leaf, the total
-    # source-point count of one sweep over its whole U-list.
-    nbr_counts = np.array([len(u) for u in ulist], dtype=np.int64)
-    neighbours = (
-        np.concatenate([np.asarray(u, dtype=np.int64) for u in ulist])
-        if int(nbr_counts.sum())
-        else np.zeros(0, dtype=np.int64)
-    )
-    nbr_offsets = np.append(0, np.cumsum(nbr_counts))
-    sweep_cumsum = np.append(0, np.cumsum(sizes[neighbours]))
-    sweep_len = sweep_cumsum[nbr_offsets[1:]] - sweep_cumsum[nbr_offsets[:-1]]
-
-    geometry = (sizes, points, offsets, nbr_counts, neighbours, nbr_offsets, sweep_len)
+    entry = _TRACE_MEMO.get(key)
+    if entry is not None and entry[0]() is tree and entry[1] is ulist:
+        return entry[2]
     traces: dict[tuple[int, int], CompiledTrace] = {}
-    _GEOMETRY_CACHE[key] = (
-        weakref.ref(tree, lambda _, key=key: _GEOMETRY_CACHE.pop(key, None)),
+    _TRACE_MEMO[key] = (
+        weakref.ref(tree, lambda _, key=key: _TRACE_MEMO.pop(key, None)),
         ulist,
-        geometry,
         traces,
     )
-    return geometry, traces
+    return traces
 
 
 def compile_ulist_trace(
     tree: Octree,
-    ulist: list[list[int]],
+    ulist: UList,
     variant: Variant,
     *,
     line_bytes: int = 128,
@@ -212,11 +181,15 @@ def compile_ulist_trace(
     n_leaves = tree.n_leaves
     phi_base = tree.n_points * POINT_BYTES
     tpb = variant.targets_per_block
-    geometry, traces = _flat_geometry(tree, ulist)
+    traces = _traces(tree, ulist)
     cached = traces.get((tpb, line_bytes))
     if cached is not None:
         return cached
-    sizes, points, offsets, nbr_counts, neighbours, nbr_offsets, sweep_len = geometry
+    # Point indices narrowed to int32 for any tree this package can build.
+    sizes, offsets = tree.leaf_sizes(), tree.leaf_offsets
+    points = tree.leaf_points.astype(np.int32 if tree.n_points < (1 << 31) else np.int64)
+    neighbours, nbr_offsets = ulist.neighbours, ulist.offsets
+    sweep_len = sweep_lengths(tree, ulist)  # per leaf, one sweep's source points
 
     # Target blocks: ceil(leaf size / tpb) per leaf, last one ragged.
     blocks_per_leaf = -(-sizes // tpb)
@@ -257,7 +230,7 @@ def compile_ulist_trace(
     # of the neighbour leaf's point records, in point order.  All the
     # repeats preserve generation order, so the emissions land in the
     # exact scalar iteration order.
-    pair_count = nbr_counts[block_leaf]
+    pair_count = np.diff(nbr_offsets)[block_leaf]
     pair_block = np.repeat(np.arange(n_blocks, dtype=idx), pair_count)
     pair_within = _ragged_arange(pair_count, dtype=idx)
     pair_source = neighbours[
@@ -305,7 +278,7 @@ def compile_ulist_trace(
 
 def _replay_scalar(
     tree: Octree,
-    ulist: list[list[int]],
+    ulist: UList,
     variant: Variant,
     caches: CacheHierarchy,
 ) -> int:
@@ -335,7 +308,7 @@ def _replay_scalar(
 
 def simulate_ulist_traffic(
     tree: Octree,
-    ulist: list[list[int]],
+    ulist: UList,
     variant: Variant,
     *,
     hierarchy: CacheHierarchy | None = None,

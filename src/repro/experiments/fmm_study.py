@@ -45,7 +45,7 @@ def run(
     study = FmmEnergyStudy(tree, ulist)
     result = study.run(variants)
 
-    mean_ulist = sum(len(u) for u in ulist) / len(ulist)
+    mean_ulist = ulist.neighbours.size / len(ulist)
     text = "\n".join(
         [
             f"geometry: n={tree.n_points} points, {tree.n_leaves} leaves "

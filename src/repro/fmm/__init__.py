@@ -35,7 +35,7 @@ from repro.fmm.kernel import (
 )
 from repro.fmm.points import clustered_cloud, plummer_cloud, uniform_cloud
 from repro.fmm.tree import Leaf, Node, Octree
-from repro.fmm.ulist import build_ulist
+from repro.fmm.ulist import UList, build_ulist
 from repro.fmm.variants import Variant, MemoryPath, generate_variants
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "Octree",
     "Leaf",
     "Node",
+    "UList",
     "build_ulist",
     "interact",
     "interact_reference",

@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from repro.exceptions import ProfileError
 from repro.fmm.kernel import FLOPS_PER_PAIR
 from repro.fmm.tree import Octree
+from repro.fmm.ulist import UList
 from repro.fmm.variants import MemoryPath, Variant
 
-__all__ = ["TrafficCounters", "count_pairs", "count_traffic"]
+__all__ = ["TrafficCounters", "count_pairs", "count_traffic", "sweep_lengths"]
 
 #: Bytes per source-point record: x, y, z, density (float32 each).
 POINT_BYTES = 16
@@ -72,29 +72,21 @@ class TrafficCounters:
         return self.work / self.q_dram
 
 
-def count_pairs(tree: Octree, ulist: list[list[int]]) -> int:
-    """Exact number of point pairs the U-list phase evaluates.
-
-    All-integer and batched: one flat gather over the concatenated
-    U-lists, segment-summed per leaf — identical (exact arithmetic) to
-    the per-leaf loop it replaces.
-    """
+def sweep_lengths(tree: Octree, ulist: UList) -> np.ndarray:
+    """Per leaf, the source points of one sweep over its whole U-list:
+    one gather of leaf sizes over the neighbours, segment-summed."""
     if len(ulist) != tree.n_leaves:
         raise ProfileError(
             f"ulist has {len(ulist)} entries for {tree.n_leaves} leaves"
         )
-    sizes = np.asarray(tree.leaf_sizes(), dtype=np.int64)
-    counts = np.fromiter(map(len, ulist), dtype=np.int64, count=len(ulist))
-    total_neighbors = int(counts.sum())
-    if total_neighbors == 0:
-        return 0
-    flat = np.fromiter(
-        chain.from_iterable(ulist), dtype=np.int64, count=total_neighbors
-    )
-    cumulative = np.append(0, np.cumsum(sizes[flat]))
-    offsets = np.append(0, np.cumsum(counts))
-    sweep = cumulative[offsets[1:]] - cumulative[offsets[:-1]]
-    return int(np.dot(sizes, sweep))
+    cumulative = np.append(0, np.cumsum(tree.leaf_sizes()[ulist.neighbours]))
+    return cumulative[ulist.offsets[1:]] - cumulative[ulist.offsets[:-1]]
+
+
+def count_pairs(tree: Octree, ulist: UList) -> int:
+    """Exact number of point pairs the U-list phase evaluates:
+    ``Σ_B |B| · Σ_{S ∈ U(B)} |S|``, all-integer."""
+    return int(np.dot(tree.leaf_sizes(), sweep_lengths(tree, ulist)))
 
 
 def l2_refill_ratio(variant: Variant) -> float:
@@ -102,7 +94,7 @@ def l2_refill_ratio(variant: Variant) -> float:
 
     Grows with the per-block working set (``source_tile ×
     targets_per_block``): bigger footprints overflow L1 more often.
-    Clamped to ``[0.2, 0.8]``.  This per-variant variation is what limits
+    Clamped to ``[0.15, 0.9]``.  This per-variant variation is what limits
     a *single* fitted cache coefficient — the hidden truth prices L1 and
     L2 bytes differently, so variants whose L1:L2 mix differs from the
     reference keep a few percent of residual error, the paper's 4.1%.
@@ -132,7 +124,7 @@ def _dram_refetch_factor(variant: Variant) -> float:
 
 def count_traffic(
     tree: Octree,
-    ulist: list[list[int]],
+    ulist: UList,
     variant: Variant,
     *,
     pairs: int | None = None,

@@ -37,6 +37,7 @@ from repro.exceptions import MeasurementError
 from repro.fmm.counters import TrafficCounters, count_pairs, count_traffic
 from repro.units import to_picojoules
 from repro.fmm.tree import Octree
+from repro.fmm.ulist import UList
 from repro.fmm.variants import Variant, reference_variant
 from repro.machines.catalog import gtx580_single
 from repro.powermon.channels import gpu_rails
@@ -139,7 +140,7 @@ class FmmEnergyStudy:
     def __init__(
         self,
         tree: Octree,
-        ulist: list[list[int]],
+        ulist: UList,
         *,
         truth: DeviceTruth | None = None,
         machine: MachineModel | None = None,

@@ -29,6 +29,7 @@ import numpy as np
 from repro.exceptions import ProfileError
 from repro.fmm.kernel import evaluate_ulist, interact
 from repro.fmm.tree import Octree
+from repro.fmm.ulist import UList
 
 __all__ = [
     "LeafMoments",
@@ -101,7 +102,7 @@ def evaluate_moments(targets: np.ndarray, moments: LeafMoments) -> np.ndarray:
 
 def evaluate_far_field(
     tree: Octree,
-    ulist: list[list[int]],
+    ulist: UList,
     *,
     moments: list[LeafMoments] | None = None,
 ) -> np.ndarray:
@@ -123,7 +124,7 @@ def evaluate_far_field(
 
 
 def evaluate_full(
-    tree: Octree, ulist: list[list[int]]
+    tree: Octree, ulist: UList
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Complete evaluation: direct near field + multipole far field.
 
@@ -132,10 +133,7 @@ def evaluate_full(
     """
     near_phi, near_pairs = evaluate_ulist(tree, ulist)
     far_phi = evaluate_far_field(tree, ulist)
-    far_cells = sum(
-        tree.leaves[i].size * (tree.n_leaves - len(ulist[i]))
-        for i in range(tree.n_leaves)
-    )
+    far_cells = int(np.dot(tree.leaf_sizes(), tree.n_leaves - np.diff(ulist.offsets)))
     direct_pairs = tree.n_points * tree.n_points
     return near_phi + far_phi, {
         "near_pairs": float(near_pairs),

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.exceptions import ProfileError
 from repro.fmm.tree import Octree
+from repro.fmm.ulist import UList
 
 __all__ = ["FLOPS_PER_PAIR", "interact", "interact_reference", "evaluate_ulist"]
 
@@ -105,12 +106,7 @@ def _validate(t: np.ndarray, s: np.ndarray, d: np.ndarray) -> None:
         raise ProfileError("densities must have one entry per source")
 
 
-def evaluate_ulist(
-    tree: Octree,
-    ulist: list[list[int]],
-    *,
-    count_flops: bool = True,
-) -> tuple[np.ndarray, int]:
+def evaluate_ulist(tree: Octree, ulist: UList) -> tuple[np.ndarray, int]:
     """Run the full U-list phase over a tree.
 
     Returns ``(phi, pairs)``: the potential for every point (tree point
@@ -127,13 +123,11 @@ def evaluate_ulist(
     phi = np.zeros(tree.n_points)
     pairs = 0
     for leaf in tree.leaves:
-        target_idx = leaf.points
-        targets = tree.positions[target_idx]
-        for source_leaf_index in ulist[leaf.index]:
-            source_leaf = tree.leaves[source_leaf_index]
-            sources = tree.positions[source_leaf.points]
-            densities = tree.densities[source_leaf.points]
-            phi[target_idx] += interact(targets, sources, densities)
-            if count_flops:
-                pairs += targets.shape[0] * sources.shape[0]
+        targets = tree.positions[leaf.points]
+        for source in ulist[leaf.index]:
+            sources = tree.leaves[source].points
+            phi[leaf.points] += interact(
+                targets, tree.positions[sources], tree.densities[sources]
+            )
+            pairs += leaf.size * sources.size
     return phi, pairs

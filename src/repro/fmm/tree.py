@@ -13,11 +13,17 @@ of those coordinates puts every box's points in one contiguous run,
 children in octant order; the tree is then split one level at a time by
 counting each splitting box's points per octant.  Nodes come out in the
 preorder of the recursive definition, leaves in its depth-first order.
+
+The tree is a leaf table (CSR point storage plus each leaf's box) and a
+node table, which validation, the U-list join, pair counting and the
+cache traces read as arrays; :class:`Leaf`/:class:`Node` objects are
+made from them on first access, for the traversals only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,21 +48,11 @@ _OCTANT_SIGNS = np.array(
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    """One leaf box of the octree.
+    """One leaf box of the octree, a row of its leaf table.
 
-    Attributes
-    ----------
-    index:
-        Position in :attr:`Octree.leaves` — the leaf's identity for
-        U-lists and traffic counters.
-    center:
-        Box centre (3-vector).
-    half_width:
-        Half the box edge length (boxes are cubes).
-    points:
-        Indices into the tree's point array.
-    depth:
-        Subdivision level (root children are depth 1).
+    ``index`` is the leaf's position in leaf order, its identity for
+    U-lists and traffic counters; ``points`` indexes the tree's points;
+    ``depth`` is the subdivision level (root children are depth 1).
     """
 
     index: int
@@ -73,12 +69,10 @@ class Leaf:
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """One internal (or leaf-wrapping) node of the full tree structure.
+    """One internal (or leaf-wrapping) box, a row of the node table.
 
     ``children`` are indices into :attr:`Octree.nodes`; a node wrapping a
     leaf has no children and carries that leaf's index in ``leaf_index``.
-    The node list enables hierarchical traversals (Barnes-Hut, future
-    M2M/L2L pipelines) without touching the flat leaf API.
     """
 
     index: int
@@ -89,22 +83,32 @@ class Node:
     leaf_index: int | None
 
 
-@dataclass
+@dataclass(eq=False)
 class Octree:
     """An adaptive octree with capacity-``q`` leaves.
 
-    Build with :meth:`build`; the constructor is the raw container.
-    ``leaves`` is the flat leaf list most consumers use; ``nodes`` is the
-    full hierarchical structure (root at index 0, preorder) for tree
-    traversals.  ``max_depth`` is the subdivision cut-off the tree was
-    built with: only leaves at it may exceed the capacity.
+    Build with :meth:`build`; the constructor is the raw container of
+    the two tables.  Leaf ``i`` (depth-first order) holds the points
+    ``leaf_points[leaf_offsets[i]:leaf_offsets[i + 1]]``, ascending; the
+    node table lists every box in preorder, root first, with its parent
+    (the root's entry is 0) and leaf index (-1 for a box that splits).
+    ``max_depth`` is the subdivision cut-off the tree was built with:
+    only leaves at it may exceed the capacity.
     """
 
     positions: np.ndarray
     densities: np.ndarray
     leaf_capacity: int
-    leaves: list[Leaf] = field(default_factory=list)
-    nodes: list[Node] = field(default_factory=list)
+    leaf_offsets: np.ndarray
+    leaf_points: np.ndarray
+    leaf_centers: np.ndarray
+    leaf_halves: np.ndarray
+    leaf_depths: np.ndarray
+    node_centers: np.ndarray
+    node_halves: np.ndarray
+    node_depths: np.ndarray
+    node_parents: np.ndarray
+    node_leaves: np.ndarray
     max_depth: int = MAX_DEPTH
 
     # ------------------------------------------------------------------
@@ -147,14 +151,14 @@ class Octree:
         if np.any(pos < 0.0) or np.any(pos >= 1.0):
             raise TreeError("positions must lie in [0, 1)^3")
 
-        tree = cls(pos, den, leaf_capacity, max_depth=max_depth)
-        tree._build()
-        return tree
+        tables = cls._build(pos, leaf_capacity, max_depth)
+        return cls(pos, den, leaf_capacity, max_depth=max_depth, **tables)
 
-    def _build(self) -> None:
-        """Fill :attr:`leaves` and :attr:`nodes` (see the module notes)."""
-        n = self.n_points
-        keys = _morton_keys(self.positions, self.max_depth)
+    @staticmethod
+    def _build(positions: np.ndarray, leaf_capacity: int, max_depth: int) -> dict:
+        """The leaf and node tables, read-only (see the module notes)."""
+        n = positions.shape[0]
+        keys = _morton_keys(positions, max_depth)
         # Points sharing a finest cell may tie in any order: each leaf's
         # points are sorted by index at the end.
         order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
@@ -169,9 +173,9 @@ class Octree:
         half = 0.5
         levels = []
         first_box = 0
-        for depth in range(self.max_depth + 1):
-            split = (end - start > self.leaf_capacity) & (depth < self.max_depth)
-            levels.append((start, end, center, parent, depth, half, split))
+        for depth in range(max_depth + 1):
+            split = (end - start > leaf_capacity) & (depth < max_depth)
+            levels.append((start, center, parent, depth, half, split))
             boxes = first_box + np.arange(start.size)
             first_box += start.size
             if not split.any():
@@ -180,7 +184,7 @@ class Octree:
             # The child octant of every point in a splitting box: its
             # Morton digit at level ``depth + 1``.
             block, level = divmod(depth, _KEY_LEVELS)
-            block_levels = min(_KEY_LEVELS, self.max_depth - block * _KEY_LEVELS)
+            block_levels = min(_KEY_LEVELS, max_depth - block * _KEY_LEVELS)
             sizes = end - start
             box = np.repeat(np.arange(start.size), sizes)
             point = np.arange(box.size) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
@@ -196,7 +200,7 @@ class Octree:
             start, end = child_start[occupied], child_end[occupied]
 
         # Preorder: by first point, ancestors before descendants.
-        starts, ends, centers, parents, depths, halves, splits = zip(*levels)
+        starts, centers, parents, depths, halves, splits = zip(*levels)
         counts = [s.size for s in starts]
         start = np.concatenate(starts)
         depth = np.repeat(depths, counts)
@@ -204,26 +208,51 @@ class Octree:
         rank = np.empty_like(preorder)
         rank[preorder] = np.arange(preorder.size)
         start, depth = start[preorder], depth[preorder]
-        end = np.concatenate(ends)[preorder]
         center = np.concatenate(centers)[preorder]
         half = np.repeat(halves, counts)[preorder]
-        parent = rank[np.concatenate(parents)[preorder]]
         is_leaf = ~np.concatenate(splits)[preorder]
+        # Leaves tile ``order`` in preorder: their first points are offsets.
+        offsets = np.append(start[is_leaf], n)
 
         # Each leaf's points as ascending indices: sort (leaf, index) keys.
-        leaf_of = np.repeat(np.arange(is_leaf.sum()), (end - start)[is_leaf]) * n
-        points = np.sort(leaf_of + order) - leaf_of
+        leaf_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets)) * n
+        tables = {
+            "leaf_offsets": offsets,
+            "leaf_points": np.sort(leaf_of + order) - leaf_of,
+            "leaf_centers": center[is_leaf],
+            "leaf_halves": half[is_leaf],
+            "leaf_depths": depth[is_leaf],
+            "node_centers": center,
+            "node_halves": half,
+            "node_depths": depth,
+            "node_parents": rank[np.concatenate(parents)[preorder]],
+            "node_leaves": np.where(is_leaf, np.cumsum(is_leaf) - 1, -1),
+        }
+        for table in tables.values():
+            table.setflags(write=False)
+        return tables
 
-        children: list[list[int]] = [[] for _ in range(preorder.size)]
-        for child, up in enumerate(parent[1:].tolist(), start=1):
+    @cached_property
+    def leaves(self) -> tuple[Leaf, ...]:
+        """The leaf table as :class:`Leaf` objects, made on first access."""
+        bounds = self.leaf_offsets.tolist()
+        rows = zip(bounds, bounds[1:], self.leaf_halves.tolist(), self.leaf_depths.tolist())
+        return tuple(
+            Leaf(i, self.leaf_centers[i], h, self.leaf_points[lo:hi], d)
+            for i, (lo, hi, h, d) in enumerate(rows)
+        )
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The node table as :class:`Node` objects, made on first access."""
+        children: list[list[int]] = [[] for _ in range(self.node_parents.size)]
+        for child, up in enumerate(self.node_parents[1:].tolist(), start=1):
             children[up].append(child)
-        leaf_index = (np.cumsum(is_leaf) - 1).tolist()
-        rows = zip(start.tolist(), end.tolist(), depth.tolist(), half.tolist(), is_leaf.tolist())
-        for i, (lo, hi, d, h, leaf) in enumerate(rows):
-            li = leaf_index[i] if leaf else None
-            if leaf:
-                self.leaves.append(Leaf(li, center[i], h, points[lo:hi], d))
-            self.nodes.append(Node(i, center[i], h, d, tuple(children[i]), li))
+        rows = zip(self.node_halves.tolist(), self.node_depths.tolist(), self.node_leaves.tolist())
+        return tuple(
+            Node(i, self.node_centers[i], h, d, tuple(children[i]), None if li < 0 else li)
+            for i, (h, d, li) in enumerate(rows)
+        )
 
     # ------------------------------------------------------------------
 
@@ -235,11 +264,11 @@ class Octree:
     @property
     def n_leaves(self) -> int:
         """Number of (non-empty) leaves."""
-        return len(self.leaves)
+        return self.leaf_offsets.size - 1
 
     def leaf_sizes(self) -> np.ndarray:
         """Points per leaf, in leaf order."""
-        return np.array([leaf.size for leaf in self.leaves], dtype=np.int64)
+        return np.diff(self.leaf_offsets)
 
     def validate(self) -> None:
         """Structural invariants; raises :class:`TreeError` on violation.
@@ -255,44 +284,31 @@ class Octree:
         """
         n = self.n_points
         sizes = self.leaf_sizes()
-        seen = (
-            np.concatenate([leaf.points for leaf in self.leaves])
-            if self.leaves
-            else np.array([], dtype=np.int64)
-        )
+        seen = self.leaf_points
         covered = np.count_nonzero(
             np.bincount(seen[(seen >= 0) & (seen < n)], minlength=n)
         )
         if seen.size != n or covered != n:
             raise TreeError(f"leaves cover {covered} of {n} points")
-        if not self.leaves:
-            return
-        depths = np.array([leaf.depth for leaf in self.leaves])
-        over = (sizes > self.leaf_capacity) & (depths < self.max_depth)
+        over = (sizes > self.leaf_capacity) & (self.leaf_depths < self.max_depth)
         # Half-open boxes: [c-h, c+h); points sit strictly inside up to fp
         # slack.  Each point meets its own leaf's box, one axis at a time.
-        centers = np.array([leaf.center for leaf in self.leaves])
-        halves = np.repeat([leaf.half_width for leaf in self.leaves], sizes)
+        halves = np.repeat(self.leaf_halves, sizes)
         outside = np.zeros(n, dtype=bool)
         for axis in range(3):
             pts = self.positions[seen, axis]
-            mid = np.repeat(centers[:, axis], sizes)
+            mid = np.repeat(self.leaf_centers[:, axis], sizes)
             outside |= (pts < mid - halves - 1e-12) | (pts >= mid + halves + 1e-12)
-        leaf_of_point = np.repeat(np.arange(len(self.leaves)), sizes)
-        first_over = int(np.argmax(over)) if over.any() else len(self.leaves)
-        first_out = (
-            int(leaf_of_point[np.argmax(outside)]) if outside.any() else len(self.leaves)
-        )
-        if first_over < len(self.leaves) and first_over <= first_out:
-            leaf = self.leaves[first_over]
-            raise TreeError(
-                f"leaf {leaf.index} overflows capacity "
-                f"({leaf.size} > {self.leaf_capacity}) above the depth limit"
-            )
-        if first_out < len(self.leaves):
-            raise TreeError(
-                f"leaf {self.leaves[first_out].index} contains out-of-box points"
-            )
+        bad = over.copy()
+        bad[np.searchsorted(self.leaf_offsets, np.flatnonzero(outside), side="right") - 1] = True
+        if bad.any():
+            first = int(np.argmax(bad))
+            if over[first]:
+                raise TreeError(
+                    f"leaf {first} overflows capacity "
+                    f"({sizes[first]} > {self.leaf_capacity}) above the depth limit"
+                )
+            raise TreeError(f"leaf {first} contains out-of-box points")
 
 
 def _morton_keys(positions: np.ndarray, max_depth: int) -> list[np.ndarray]:

@@ -15,22 +15,21 @@ test oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.exceptions import TreeError
 from repro.fmm.tree import Octree
 
-__all__ = ["build_ulist", "build_ulist_naive", "boxes_adjacent"]
+__all__ = ["UList", "build_ulist", "build_ulist_naive", "boxes_adjacent"]
 
 #: Relative slack for the touch test; boxes meeting exactly at a face,
 #: edge, or corner count as adjacent.
 _SLACK = 1e-9
 
-#: The 27 integer offsets of a cell's neighbourhood (itself included).
-_OFFSETS = np.array(
-    [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
-    dtype=np.int64,
-)
+#: A cell's neighbouring coordinates along one axis, itself included.
+_NEAR = np.array([-1, 0, 1])
 
 #: Deepest level with int64 cell ids: the ids of a complete octree down
 #: to level 20 number (8**21 - 1) / 7 < 2**63.  Equals the octree's
@@ -60,7 +59,31 @@ def build_ulist_naive(tree: Octree) -> list[list[int]]:
     return ulist
 
 
-def build_ulist(tree: Octree) -> list[list[int]]:
+@dataclass(frozen=True, eq=False)
+class UList:
+    """Every leaf's U-list in CSR form, leaf order.
+
+    ``U(i)`` is ``neighbours[offsets[i]:offsets[i + 1]]``: leaf ``i``'s
+    adjacent leaves (itself included), ascending.  ``len`` is the leaf
+    count and ``ulist[i]`` is ``U(i)`` as a read-only array view.
+    """
+
+    offsets: np.ndarray
+    neighbours: np.ndarray
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, leaf: int) -> np.ndarray:
+        leaf = range(len(self))[leaf]
+        return self.neighbours[self.offsets[leaf] : self.offsets[leaf + 1]]
+
+    def tolist(self) -> list[list[int]]:
+        """The U-lists as Python lists (the form of :func:`build_ulist_naive`)."""
+        return [u.tolist() for u in self]
+
+
+def build_ulist(tree: Octree) -> UList:
     """Sort-join U-list construction.
 
     Octree boxes are exact dyadic cells, so adjacency is decided on
@@ -77,24 +100,21 @@ def build_ulist(tree: Octree) -> list[list[int]]:
     every pair that test accepts as long as a cell edge exceeds the
     slack, i.e. for trees under 30 levels.
 
-    Returns, for each leaf index, the sorted list of adjacent leaf
-    indices (self included) — ``U(B)`` of Algorithm 1.
+    Returns ``U(B)`` of Algorithm 1 for every leaf, as a :class:`UList`
+    read straight off the sorted pair keys.
     """
-    leaves = tree.leaves
-    if not leaves:
+    n = tree.n_leaves
+    if n == 0:
         raise TreeError("tree has no leaves")
-    n = len(leaves)
-    centers = np.array([leaf.center for leaf in leaves], dtype=np.float64)
-    halves = np.array([leaf.half_width for leaf in leaves], dtype=np.float64)
     # Leaves below _ID_LEVELS register and probe at that level: its cells
     # contain them, so the join stays complete, only coarser.
-    levels = np.minimum([leaf.depth for leaf in leaves], _ID_LEVELS)
-
-    pairs = _touching_pairs(centers, halves, levels)
-    bounds = np.searchsorted(pairs, np.arange(n + 1) * n).tolist()
+    levels = np.minimum(tree.leaf_depths, _ID_LEVELS)
+    pairs = _touching_pairs(tree.leaf_centers, tree.leaf_halves, levels)
+    offsets = np.searchsorted(pairs, np.arange(n + 1) * n)
     pairs %= n  # key ``a * n + b`` -> neighbour ``b``
-    neighbours = pairs.tolist()
-    return [neighbours[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for table in (offsets, pairs):
+        table.setflags(write=False)
+    return UList(offsets, pairs)
 
 
 def _touching_pairs(
@@ -126,9 +146,8 @@ def _registrations(
     ``floor(c * 2**level)`` is that cell, exactly.
     """
     probe_levels = np.unique(levels)
-    per_leaf = np.searchsorted(probe_levels, levels, side="right")
-    leaf = np.repeat(np.arange(len(levels)), per_leaf)
-    level = probe_levels[_ranges(per_leaf)]
+    leaf, k = np.nonzero(probe_levels <= levels[:, None])
+    level = probe_levels[k]
     return _cell_ids(_cells(centers[leaf], level), level), leaf
 
 
@@ -136,17 +155,21 @@ def _probes(
     centers: np.ndarray, levels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cell ids and leaf indices: the existing cells among the 27 around
-    each leaf's own.  An id is linear in the coordinates, so a
-    neighbour's id is the leaf's cell id plus its offset's."""
+    each leaf's own, offset by offset over the leaves in cell-id order
+    (so the join's needles come in 27 ascending runs).  An id is linear
+    in the coordinates: a sum of one term per axis."""
     cells = _cells(centers, levels)
-    inside = np.ones((len(levels), len(_OFFSETS)), dtype=bool)
-    for axis in range(3):
-        coord = cells[:, axis, None] + _OFFSETS[:, axis]
-        inside &= (coord >= 0) & (coord < (1 << levels)[:, None])
-    shift = levels[:, None]
-    step = (((_OFFSETS[:, 0] << shift) + _OFFSETS[:, 1]) << shift) + _OFFSETS[:, 2]
-    leaf, slot = np.divmod(np.flatnonzero(inside), len(_OFFSETS))
-    return _cell_ids(cells, levels)[leaf] + step[leaf, slot], leaf
+    ids = _cell_ids(cells, levels)
+    leaf = np.argsort(ids)
+    ids, levels = ids[leaf], levels[leaf]
+    # Per axis (x, y, z) and offset (-1, 0, 1): each leaf's neighbouring
+    # coordinate, and its term of the id, ``x << 2 l``, ``y << l``, ``z``.
+    near = cells[leaf].T[:, None, :] + _NEAR[:, None]
+    exists = (near >= 0) & (near < (1 << levels))
+    x, y, z = _NEAR[:, None] << (np.array([2, 1, 0])[:, None, None] * levels)
+    probe = (ids + x)[:, None, None] + y[None, :, None] + z[None, None, :]
+    inside = exists[0][:, None, None] & exists[1][None, :, None] & exists[2][None, None, :]
+    return probe[inside], np.broadcast_to(leaf, probe.shape)[inside]
 
 
 def _join(
@@ -156,15 +179,21 @@ def _join(
     probe_leaf: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leaf pairs (prober, registered) for every registration whose cell
-    a probe names: one sort, two ``searchsorted`` calls."""
-    order = np.argsort(reg_ids, kind="stable")
+    a probe names: one sort of the registrations, one ``searchsorted``
+    of the probes over the distinct registered cells."""
+    order = np.argsort(reg_ids)
     sorted_ids = reg_ids[order]
-    first = np.searchsorted(sorted_ids, probe_ids, side="left")
-    hits = np.searchsorted(sorted_ids, probe_ids, side="right") - first
-    return (
-        np.repeat(probe_leaf, hits),
-        reg_leaf[order[np.repeat(first, hits) + _ranges(hits)]],
-    )
+    first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))  # ids are >= 0
+    cells = sorted_ids[first]
+    slot = np.searchsorted(cells, probe_ids)
+    found = cells[np.minimum(slot, cells.size - 1)] == probe_ids
+    slot = slot[found]
+    hits = np.diff(first, append=sorted_ids.size)[slot]
+    # Hit k, of probe p, is registration ``first[slot[p]] + k - h(p)``,
+    # ``h(p)`` counting the hits of the probes before p.
+    at = np.repeat(first[slot] - np.cumsum(hits) + hits, hits)
+    at += np.arange(at.size)
+    return np.repeat(probe_leaf[found], hits), reg_leaf[order[at]]
 
 
 def _cells(centers: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -180,8 +209,3 @@ def _cell_ids(cells: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """
     base = ((1 << (3 * levels)) - 1) // 7
     return base + (((cells[:, 0] << levels) + cells[:, 1]) << levels) + cells[:, 2]
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """``0..c-1`` for each count ``c``, concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)

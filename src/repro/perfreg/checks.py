@@ -243,10 +243,11 @@ def measure_fmm_study(
 ) -> tuple[dict[str, float], float]:
     """Time one run of the fmm experiment's pipeline by phase.
 
-    The octree build, the U-list join and the 390-variant study
-    (constructor and :meth:`~repro.fmm.estimator.FmmEnergyStudy.run`);
-    ``total_ms`` spans all three.  Also returns the fitted cache cost
-    (pJ/B) for the sanity check.
+    The octree build, its validation, the U-list join and the
+    390-variant study (constructor and
+    :meth:`~repro.fmm.estimator.FmmEnergyStudy.run`); ``total_ms`` spans
+    all four.  Also returns the fitted cache cost (pJ/B) for the sanity
+    check.
     """
     from repro.fmm.estimator import FmmEnergyStudy
     from repro.fmm.points import uniform_cloud
@@ -259,15 +260,18 @@ def measure_fmm_study(
     t0 = time.perf_counter()
     tree = Octree.build(positions, densities, leaf_capacity=leaf_capacity)
     t1 = time.perf_counter()
-    ulist = build_ulist(tree)
+    tree.validate()
     t2 = time.perf_counter()
-    result = FmmEnergyStudy(tree, ulist).run(variants)
+    ulist = build_ulist(tree)
     t3 = time.perf_counter()
+    result = FmmEnergyStudy(tree, ulist).run(variants)
+    t4 = time.perf_counter()
     times = {
         "tree_ms": units.to_milliseconds(t1 - t0),
-        "ulist_ms": units.to_milliseconds(t2 - t1),
-        "study_ms": units.to_milliseconds(t3 - t2),
-        "total_ms": units.to_milliseconds(t3 - t0),
+        "validate_ms": units.to_milliseconds(t2 - t1),
+        "ulist_ms": units.to_milliseconds(t3 - t2),
+        "study_ms": units.to_milliseconds(t4 - t3),
+        "total_ms": units.to_milliseconds(t4 - t0),
     }
     return times, units.to_picojoules(result.eps_cache_fit)
 
@@ -766,7 +770,8 @@ class CachesimTraceCheck(PerfCheck):
 
 @register
 class FmmStudyCheck(PerfCheck):
-    """The §V-C FMM study at perfbench's size: octree, U-lists, study."""
+    """The §V-C FMM study at perfbench's size: octree, validation,
+    U-lists, study."""
 
     name = "experiments.fmm"
     area = "batch"
@@ -774,6 +779,7 @@ class FmmStudyCheck(PerfCheck):
     metrics = (
         Metric("total_ms", "ms", LOWER_IS_BETTER),
         Metric("tree_ms", "ms", LOWER_IS_BETTER),
+        Metric("validate_ms", "ms", LOWER_IS_BETTER),
         Metric("ulist_ms", "ms", LOWER_IS_BETTER),
         Metric("study_ms", "ms", LOWER_IS_BETTER),
     )

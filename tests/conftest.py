@@ -11,7 +11,7 @@ from repro.core.algorithm import AlgorithmProfile
 from repro.core.params import MachineModel
 from repro.fmm.points import uniform_cloud
 from repro.fmm.tree import Octree
-from repro.fmm.ulist import build_ulist
+from repro.fmm.ulist import UList, build_ulist
 from repro.machines.catalog import (
     gtx580_double,
     gtx580_single,
@@ -75,7 +75,7 @@ def small_tree() -> Octree:
 
 
 @pytest.fixture(scope="session")
-def small_ulist(small_tree) -> list[list[int]]:
+def small_ulist(small_tree) -> UList:
     return build_ulist(small_tree)
 
 

@@ -10,33 +10,44 @@ depth-first order, and a leaf's points are its sorted indices.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.fmm.tree import MAX_DEPTH, Leaf, Node, Octree
+from repro.fmm.tree import MAX_DEPTH, Leaf, Node
+
+
+@dataclass
+class RecursiveTree:
+    """The recursion's boxes as :class:`Leaf` and :class:`Node` objects."""
+
+    positions: np.ndarray
+    leaf_capacity: int
+    max_depth: int
+    leaves: list[Leaf] = field(default_factory=list)
+    nodes: list[Node] = field(default_factory=list)
 
 
 def recursive_octree(
     positions: np.ndarray,
-    densities: np.ndarray,
     *,
     leaf_capacity: int,
     max_depth: int = MAX_DEPTH,
-) -> Octree:
+) -> RecursiveTree:
     """The tree ``Octree.build`` must produce, built by recursion."""
-    tree = Octree(
+    tree = RecursiveTree(
         positions=np.asarray(positions, dtype=float),
-        densities=np.asarray(densities, dtype=float),
         leaf_capacity=leaf_capacity,
         max_depth=max_depth,
     )
     _subdivide(
-        tree, np.arange(tree.n_points), np.full(3, 0.5), 0.5, depth=0
+        tree, np.arange(len(tree.positions)), np.full(3, 0.5), 0.5, depth=0
     )
     return tree
 
 
 def _subdivide(
-    tree: Octree,
+    tree: RecursiveTree,
     indices: np.ndarray,
     center: np.ndarray,
     half_width: float,

@@ -11,8 +11,12 @@ from repro.fmm.counters import (
     count_pairs,
     count_traffic,
     l2_refill_ratio,
+    sweep_lengths,
 )
 from repro.fmm.kernel import FLOPS_PER_PAIR
+from repro.fmm.points import clustered_cloud, plummer_cloud, uniform_cloud
+from repro.fmm.tree import Octree
+from repro.fmm.ulist import build_ulist, build_ulist_naive
 from repro.fmm.variants import MemoryPath, Variant, generate_variants, reference_variant
 
 
@@ -24,6 +28,25 @@ class TestPairCounting:
             for b, neighbors in enumerate(small_ulist)
         )
         assert count_pairs(small_tree, small_ulist) == expected
+
+    @pytest.mark.parametrize(
+        "generator", [uniform_cloud, clustered_cloud, plummer_cloud],
+        ids=["uniform", "clustered", "plummer"],
+    )
+    def test_pairs_equal_the_per_leaf_loop(self, generator):
+        """One gather and segment sum over the CSR U-list count what a
+        loop over the leaf objects and their neighbour lists counts."""
+        positions, densities = generator(3000, seed=5)
+        tree = Octree.build(positions, densities, leaf_capacity=24)
+        ulist = build_ulist(tree)
+        expected = sum(
+            leaf.size * sum(tree.leaves[s].size for s in neighbours)
+            for leaf, neighbours in zip(tree.leaves, build_ulist_naive(tree))
+        )
+        assert count_pairs(tree, ulist) == expected
+        assert sweep_lengths(tree, ulist).tolist() == [
+            sum(tree.leaves[s].size for s in neighbours) for neighbours in ulist.tolist()
+        ]
 
     def test_work_is_11_per_pair(self, small_tree, small_ulist):
         counters = count_traffic(small_tree, small_ulist, reference_variant())

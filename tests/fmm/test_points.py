@@ -73,3 +73,30 @@ class TestDistributionShapes:
             clustered_cloud(100, clusters=0)
         with pytest.raises(TreeError):
             clustered_cloud(100, spread=0.0)
+
+
+def finalize_axis0(positions, rng):
+    """``_finalize`` with the ``axis=0`` reductions it used to take."""
+    lo = positions.min(axis=0)
+    hi = positions.max(axis=0)
+    span = np.where(hi - lo > 0, hi - lo, 1.0)
+    scaled = (positions - lo) / span * (1.0 - 1e-9)
+    return scaled, rng.uniform(0.5, 1.5, size=len(positions))
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [uniform_cloud, clustered_cloud, plummer_cloud],
+    ids=["uniform", "clustered", "plummer"],
+)
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_columnwise_bounds_match_axis0_reduction(generator, n, monkeypatch):
+    """Per-column min/max give the clouds byte for byte, zero span
+    (n = 1) included."""
+    import repro.fmm.points as points
+
+    got = [generator(n, seed=seed) for seed in range(32)]
+    monkeypatch.setattr(points, "_finalize", finalize_axis0)
+    want = [generator(n, seed=seed) for seed in range(32)]
+    for (gp, gd), (wp, wd) in zip(got, want):
+        assert gp.tobytes() == wp.tobytes() and gd.tobytes() == wd.tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -73,10 +74,38 @@ class TestConstruction:
         assert len(depths) > 1  # clusters force deeper subdivision locally
 
 
-def assert_same_tree(got: Octree, want: Octree) -> None:
-    """Every field of every leaf and node equal, Python types included."""
+def leaf_table(leaves) -> dict[str, np.ndarray]:
+    """The leaf table listing ``leaves`` in order."""
+    return {
+        "leaf_offsets": np.append(0, np.cumsum([leaf.size for leaf in leaves])),
+        "leaf_points": np.concatenate([leaf.points for leaf in leaves]),
+        "leaf_centers": np.array([leaf.center for leaf in leaves]),
+        "leaf_halves": np.array([leaf.half_width for leaf in leaves]),
+        "leaf_depths": np.array([leaf.depth for leaf in leaves]),
+    }
+
+
+def node_table(nodes) -> dict[str, np.ndarray]:
+    """The node table listing ``nodes`` in order."""
+    parents = np.zeros(len(nodes), dtype=np.int64)
+    for node in nodes:
+        parents[list(node.children)] = node.index
+    return {
+        "node_centers": np.array([node.center for node in nodes]),
+        "node_halves": np.array([node.half_width for node in nodes]),
+        "node_depths": np.array([node.depth for node in nodes]),
+        "node_parents": parents,
+        "node_leaves": np.array(
+            [-1 if node.leaf_index is None else node.leaf_index for node in nodes]
+        ),
+    }
+
+
+def assert_same_tree(got: Octree, want) -> None:
+    """Every field of every leaf and node equal, Python types included,
+    and the tables equal, dtypes included, to the ones listing them."""
     assert got.max_depth == want.max_depth
-    assert len(got.leaves) == len(want.leaves)
+    assert len(got.leaves) == len(want.leaves) == got.n_leaves
     assert len(got.nodes) == len(want.nodes)
     for g, w in zip(got.leaves, want.leaves):
         assert (g.index, g.half_width, g.depth) == (w.index, w.half_width, w.depth)
@@ -89,6 +118,8 @@ def assert_same_tree(got: Octree, want: Octree) -> None:
         )
         assert all(type(c) is int for c in g.children)
         np.testing.assert_array_equal(g.center, w.center, strict=True)
+    for name, table in {**leaf_table(want.leaves), **node_table(want.nodes)}.items():
+        np.testing.assert_array_equal(getattr(got, name), table, strict=True, err_msg=name)
 
 
 CLOUDS = {
@@ -132,7 +163,7 @@ class TestMatchesRecursiveBuild:
         positions = np.vstack([positions, extra])
         densities = np.concatenate([densities, np.ones(copies)])
         got = Octree.build(positions, densities, leaf_capacity=q, max_depth=max_depth)
-        want = recursive_octree(positions, densities, leaf_capacity=q, max_depth=max_depth)
+        want = recursive_octree(positions, leaf_capacity=q, max_depth=max_depth)
         assert_same_tree(got, want)
         got.validate()
 
@@ -186,15 +217,12 @@ class TestValidation:
             Octree.build(positions, densities, leaf_capacity=0)
 
 
-def corrupted(tree: Octree, **changes) -> Octree:
-    """A raw tree over the same points with some fields replaced."""
-    fields = {
-        "positions": tree.positions,
-        "densities": tree.densities,
-        "leaf_capacity": tree.leaf_capacity,
-        "leaves": list(tree.leaves),
-        "nodes": tree.nodes,
-    }
+def corrupted(tree: Octree, *, leaves=None, **changes) -> Octree:
+    """A raw tree over the same points with some fields replaced;
+    ``leaves`` replaces the whole leaf table by the one listing them."""
+    fields = {f.name: getattr(tree, f.name) for f in dataclasses.fields(tree)}
+    if leaves is not None:
+        fields.update(leaf_table(leaves))
     fields.update(changes)
     return Octree(**fields)
 
@@ -269,3 +297,33 @@ class TestValidateCatchesCorruption:
         leaves[1] = replace(leaves[1], points=bogus)
         with pytest.raises(TreeError, match="leaves cover 299 of 300 points"):
             corrupted(tree, leaves=leaves).validate()
+
+
+class TestTables:
+    """The arrays are the tree; the objects are made from them on demand."""
+
+    def test_tables_are_read_only_and_objects_cached(self):
+        tree = build(n=500, q=16, generator=plummer_cloud)
+        for name in ("leaf_offsets", "leaf_points", "leaf_centers", "node_parents"):
+            assert not getattr(tree, name).flags.writeable
+        assert tree.leaves is tree.leaves and tree.nodes is tree.nodes
+        assert tree.n_leaves == len(tree.leaves)
+        np.testing.assert_array_equal(
+            tree.leaf_sizes(), [leaf.size for leaf in tree.leaves], strict=True
+        )
+
+    def test_fmm_experiment_makes_no_leaf_or_node_objects(self, monkeypatch):
+        """The §V-C pipeline (build, validate, U-lists, pair count, the
+        390-variant study and its report) reads the tables only."""
+        import repro.fmm.tree as tree_module
+        from repro.experiments.fmm_study import run
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Leaf or Node object was made")
+
+        monkeypatch.setattr(tree_module, "Leaf", refuse)
+        monkeypatch.setattr(tree_module, "Node", refuse)
+        result = run(n_points=4000)
+        assert "n=4000 points" in result.text
+        with pytest.raises(AssertionError, match="object was made"):
+            build().leaves

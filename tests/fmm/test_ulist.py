@@ -51,7 +51,7 @@ class TestConstruction:
         distribution (including adaptive trees)."""
         positions, densities = dist(n, seed=seed)
         tree = Octree.build(positions, densities, leaf_capacity=q)
-        assert build_ulist(tree) == build_ulist_naive(tree)
+        assert build_ulist(tree).tolist() == build_ulist_naive(tree)
 
     def test_self_always_included(self, small_tree, small_ulist):
         for leaf in small_tree.leaves:
@@ -64,7 +64,7 @@ class TestConstruction:
                 assert b in small_ulist[s]
 
     def test_entries_sorted_unique(self, small_ulist):
-        for neighbors in small_ulist:
+        for neighbors in small_ulist.tolist():
             assert neighbors == sorted(set(neighbors))
 
     def test_interior_leaf_of_uniform_grid_has_27_neighbors(self):
@@ -79,6 +79,19 @@ class TestConstruction:
         sizes = sorted(len(u) for u in ulist)
         assert max(sizes) == 27  # interior cells
         assert min(sizes) == 8  # corner cells
+
+    def test_csr_rows(self, small_tree, small_ulist):
+        """``len`` is the leaf count and ``ulist[i]`` leaf ``i``'s row of
+        the CSR arrays, read-only; indices past either end raise."""
+        rows = small_ulist.tolist()
+        assert len(small_ulist) == len(rows) == small_tree.n_leaves
+        assert small_ulist[-1].tolist() == rows[-1]
+        assert small_ulist.neighbours.size == small_ulist.offsets[-1] == sum(map(len, rows))
+        assert not small_ulist[0].flags.writeable
+        with pytest.raises(IndexError):
+            small_ulist[len(rows)]
+        with pytest.raises(IndexError):
+            small_ulist[-len(rows) - 1]
 
     def test_mean_ulist_size_reasonable(self, small_ulist):
         mean = np.mean([len(u) for u in small_ulist])
@@ -103,13 +116,13 @@ class TestEdgeCases:
         tree = self.duplicates_and_scatter(MAX_DEPTH)
         depths = {leaf.depth for leaf in tree.leaves}
         assert MAX_DEPTH in depths and min(depths) <= 2
-        assert build_ulist(tree) == build_ulist_naive(tree)
+        assert build_ulist(tree).tolist() == build_ulist_naive(tree)
 
     def test_deeper_than_the_cell_id_levels(self):
         """Leaves below level 20 join at their level-20 cell."""
         tree = self.duplicates_and_scatter(26)
         assert max(leaf.depth for leaf in tree.leaves) == 26
-        assert build_ulist(tree) == build_ulist_naive(tree)
+        assert build_ulist(tree).tolist() == build_ulist_naive(tree)
 
     def test_cell_ids_do_not_overflow_at_the_depth_limit(self):
         """Breadth-first ids: level 20's last cell is the last int64 id used."""
@@ -123,7 +136,7 @@ class TestEdgeCases:
         positions, densities = uniform_cloud(10, seed=2)
         tree = Octree.build(positions, densities, leaf_capacity=64)
         assert tree.n_leaves == 1
-        assert build_ulist(tree) == [[0]]
+        assert build_ulist(tree).tolist() == [[0]]
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -138,7 +151,7 @@ class TestEdgeCases:
             n, clusters=clusters, spread=spread, seed=seed
         )
         tree = Octree.build(positions, densities, leaf_capacity=q)
-        assert build_ulist(tree) == build_ulist_naive(tree)
+        assert build_ulist(tree).tolist() == build_ulist_naive(tree)
 
 
 def test_fmm_report_geometry_at_64k_points():
@@ -147,3 +160,20 @@ def test_fmm_report_geometry_at_64k_points():
 
     text = run(n_points=64_000, max_variants=1).text
     assert "n=64000 points, 4096 leaves (capacity 64), mean |U(B)| = 23.8" in text
+
+
+def test_ulist_peak_memory_at_64k_points():
+    """The CSR U-list keeps the join's peak below what building 4 096
+    Python lists took: 7.31 MB by tracemalloc (CPython 3.11, numpy 2.4)."""
+    import tracemalloc
+
+    positions, densities = uniform_cloud(64_000, seed=3)
+    tree = Octree.build(positions, densities, leaf_capacity=64)
+    tracemalloc.start()
+    try:
+        ulist = build_ulist(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ulist) == 4096
+    assert peak < 7.31e6

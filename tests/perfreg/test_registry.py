@@ -184,8 +184,12 @@ class TestProductionRegistry:
         from repro.perfreg.checks import measure_fmm_study
 
         times, eps_cache_pj = measure_fmm_study(n_points=4000)
-        assert set(times) == {"tree_ms", "ulist_ms", "study_ms", "total_ms"}
-        assert times["total_ms"] >= times["tree_ms"] + times["study_ms"] > 0
+        assert set(times) == {
+            "tree_ms", "validate_ms", "ulist_ms", "study_ms", "total_ms"
+        }
+        phases = [times[k] for k in ("tree_ms", "validate_ms", "ulist_ms", "study_ms")]
+        assert min(phases) > 0
+        assert times["total_ms"] == pytest.approx(sum(phases))
         assert eps_cache_pj == pytest.approx(189.744, abs=1e-3)
         [inst] = expand_checks(["experiments.fmm"])
         assert inst.instance_id == "experiments.fmm[n_points=64000]"
