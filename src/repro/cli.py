@@ -37,8 +37,7 @@ Subcommands
     Multi-node scale-out router: a consistent-hash ring (virtual
     nodes, per-key replication — ``--replication``) over replicated
     ``serve`` instances (``--backend HOST:PORT`` each), with health
-    probing, automatic failover of retriable failures, and
-    zero-downtime membership changes (see
+    probing and automatic failover of retriable failures (see
     :mod:`repro.service.router` and ``docs/SERVICE.md``).
 ``bench-serve``
     Load generator against an in-process server — closed loop by
@@ -47,10 +46,7 @@ Subcommands
     socket under that framing; ``--router-backends N`` benches the
     full router path, ``--target HOST:PORT`` drives an external
     server or router; reports throughput, latency percentiles,
-    batch-size histogram, bytes on the wire, and with ``--compare``
-    the speedup over the baseline (NDJSON framing when ``--wire
-    binary``, in-loop execution when ``--workers > 0``, unbatched
-    otherwise).
+    batch-size histogram and bytes on the wire.
 ``lint``
     Run replint, the repo's own AST-based static analysis, over the
     package source (or explicit paths).  Exit code 0 means clean, 1
@@ -126,10 +122,6 @@ def _add_server_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes for model evaluation; 0 runs in-loop",
     )
     parser.add_argument(
-        "--shard-by", choices=("machine", "model"), default=defaults.shard_by,
-        help="worker routing key: per machine or per (machine, model)",
-    )
-    parser.add_argument(
         "--plan-cache-size", type=int, default=defaults.plan_cache_size,
         metavar="N", help="compiled curve-plan cache entries; 0 disables",
     )
@@ -158,7 +150,6 @@ def _server_config(args: argparse.Namespace, **deployment):
         flush_window=units.milliseconds(args.flush_window_ms),
         cache_size=args.cache_size,
         workers=args.workers,
-        shard_by=args.shard_by,
         plan_cache_size=args.plan_cache_size,
         admission=args.admission,
         work_budget=args.work_budget,
@@ -329,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual ring points per backend",
     )
     p_route.add_argument(
-        "--shard-by", choices=("machine", "model"), default="machine",
-        help="routing key: per machine or per (machine, model)",
-    )
-    p_route.add_argument(
         "--wire", choices=("auto", "binary", "ndjson"), default="auto",
         help="client-side framing policy (same semantics as serve)",
     )
@@ -378,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw intensities from a small pool so the cache participates",
     )
     p_bench.add_argument(
-        "--compare", action="store_true",
-        help="also run the baseline and report the speedup: NDJSON "
-        "framing with --wire binary, in-loop execution when --workers "
-        "> 0, unbatched otherwise",
-    )
-    p_bench.add_argument(
         "--workload", choices=("scalar", "mixed", "heavy"), default="scalar",
         help="request mix: scalar evals only; a mix of evals, grids, "
         "curves, and analyses; or the same mix with compute-dominated "
@@ -395,20 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
         "latency is measured from intended arrival time",
     )
     p_bench.add_argument(
-        "--arrival", default=None, metavar="SPEC",
-        help="arrival-schedule spec, e.g. ramp:LO:HI:SECS for a seeded "
-        "linear rate ramp (open loop; excludes --open-loop; the "
-        "schedule sets the request count)",
-    )
-    p_bench.add_argument(
         "--timeout-ms", type=float, default=None, metavar="MS",
         help="per-request deadline stamped on every generated request",
     )
     p_bench.add_argument(
         "--wire", choices=("inproc", "ndjson", "binary"), default="inproc",
         help="transport under test: direct handler calls (inproc), or "
-        "real loopback TCP with NDJSON or binary framing; with "
-        "--compare, binary is A/B'd against NDJSON",
+        "real loopback TCP with NDJSON or binary framing",
     )
     p_bench.add_argument(
         "--router-backends", type=int, default=0, metavar="N",
@@ -868,7 +842,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
             f"{len(router.ring)} backends "
             f"({', '.join(router.ring.backends)}; "
             f"replication={config.replication}, vnodes={config.vnodes}, "
-            f"shard_by={config.shard_by}, wire={config.wire}); "
+            f"wire={config.wire}); "
             "ctrl-c to drain and stop"
         ),
     )
@@ -889,7 +863,7 @@ def _cmd_route(args: argparse.Namespace) -> str:
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> str:
-    from dataclasses import fields, replace
+    from dataclasses import fields
 
     from repro.service import bench_serving
 
@@ -907,70 +881,32 @@ def _cmd_bench_serve(args: argparse.Namespace) -> str:
                 "bench-serve --target drives an external server, which "
                 f"server flags cannot configure (set: {', '.join(changed)})"
             )
-        if args.compare and args.wire != "binary":
-            raise ReproError(
-                "bench-serve --target --compare needs --wire binary: only "
-                "the binary-vs-NDJSON framing comparison is client-side"
-            )
         config = None
 
-    def bench(config, wire: str = args.wire):
-        try:
-            return bench_serving(
-                config,
-                requests=args.requests,
-                concurrency=args.concurrency,
-                machines=args.machines,
-                model=args.model,
-                metric=args.metric,
-                unique_intensities=not args.repeat_intensities,
-                workload=args.workload,
-                open_loop_rate=args.open_loop,
-                arrival=args.arrival,
-                timeout_ms=args.timeout_ms,
-                wire=wire,
-                router_backends=args.router_backends,
-                replication=args.replication,
-                target=args.target,
-            )
-        except ValueError as exc:  # config and load-parameter validation
-            raise ReproError(str(exc)) from None
-
-    report = bench(config)
-    blocks = [
+    try:
+        report = bench_serving(
+            config,
+            requests=args.requests,
+            concurrency=args.concurrency,
+            machines=args.machines,
+            model=args.model,
+            metric=args.metric,
+            unique_intensities=not args.repeat_intensities,
+            workload=args.workload,
+            open_loop_rate=args.open_loop,
+            timeout_ms=args.timeout_ms,
+            wire=args.wire,
+            router_backends=args.router_backends,
+            replication=args.replication,
+            target=args.target,
+        )
+    except ValueError as exc:  # config and load-parameter validation
+        raise ReproError(str(exc)) from None
+    return (
         f"{report.mode}-loop serving benchmark ({args.model}/{args.metric}, "
-        f"workload: {args.workload}, machines: {', '.join(args.machines)})",
-        report.describe(),
-    ]
-    if args.compare and args.wire == "binary":
-        baseline = bench(config, wire="ndjson")
-        report_bytes = report.bytes_sent + report.bytes_received
-        baseline_bytes = baseline.bytes_sent + baseline.bytes_received
-        blocks += [
-            "NDJSON framing (same server knobs):",
-            baseline.describe(),
-            f"binary framing: p99 {baseline.p99_ms / report.p99_ms:.1f}x "
-            f"lower, p50 {baseline.p50_ms / report.p50_ms:.1f}x lower, "
-            f"throughput {report.throughput / baseline.throughput:.1f}x, "
-            f"bytes on wire {baseline_bytes / report_bytes:.1f}x fewer",
-        ]
-    elif args.compare and args.workers > 0:
-        baseline = bench(replace(config, workers=0))
-        blocks += [
-            "worker pool disabled (in-loop execution):",
-            baseline.describe(),
-            f"worker-pool speedup ({args.workers} workers): "
-            f"{report.throughput / baseline.throughput:.1f}x",
-        ]
-    elif args.compare and args.max_batch > 1:
-        baseline = bench(replace(config, max_batch=1))
-        blocks += [
-            "batching disabled (max_batch=1):",
-            baseline.describe(),
-            f"micro-batching speedup: "
-            f"{report.throughput / baseline.throughput:.1f}x",
-        ]
-    return "\n\n".join(blocks)
+        f"workload: {args.workload}, machines: {', '.join(args.machines)})"
+        f"\n\n{report.describe()}"
+    )
 
 
 def _git_changed_python_files(ref: str) -> set[Path] | None:

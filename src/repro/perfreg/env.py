@@ -13,21 +13,30 @@ import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Mapping
+
+import repro
 
 __all__ = ["env_fingerprint", "git_sha", "same_environment"]
 
 
-def git_sha(root: str | os.PathLike[str] | None = None) -> str:
-    """The repo's HEAD commit (short), ``"unknown"`` outside a checkout.
+#: The checkout whose code a run measures: where ``repro`` was imported
+#: from, not where its records are written.
+_PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
-    A dirty worktree gets a ``-dirty`` suffix so a record can never
+
+def git_sha() -> str:
+    """HEAD (short) of the checkout ``repro`` was imported from.
+
+    ``"unknown"`` when the package does not sit in a git checkout.  A
+    dirty worktree gets a ``-dirty`` suffix so a record can never
     silently claim to be a clean build of its commit.
     """
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=root,
+            cwd=_PACKAGE_DIR,
             capture_output=True,
             text=True,
             timeout=10,
@@ -35,7 +44,7 @@ def git_sha(root: str | os.PathLike[str] | None = None) -> str:
         ).stdout.strip()
         dirty = subprocess.run(
             ["git", "status", "--porcelain"],
-            cwd=root,
+            cwd=_PACKAGE_DIR,
             capture_output=True,
             text=True,
             timeout=10,
@@ -53,9 +62,7 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def env_fingerprint(
-    root: str | os.PathLike[str] | None = None,
-) -> dict[str, Any]:
+def env_fingerprint() -> dict[str, Any]:
     """The provenance block stored under ``"env"`` in every record."""
     import numpy
 
@@ -66,7 +73,7 @@ def env_fingerprint(
         "platform": f"{platform.system()}-{platform.machine()}",
         "cpu_count": os.cpu_count() or 1,
         "usable_cores": _usable_cores(),
-        "git_sha": git_sha(root),
+        "git_sha": git_sha(),
         "argv0": os.path.basename(sys.argv[0]) if sys.argv else "",
     }
 

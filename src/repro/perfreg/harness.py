@@ -211,7 +211,7 @@ def run_checks(
     if warmup is not None:
         methodology = Methodology(warmup=warmup, reps=methodology.reps)
     instances = expand_checks(patterns, registry=registry)
-    env = env_fingerprint(root)
+    env = env_fingerprint()
     waivers = load_waivers(
         Path(waivers_path) if waivers_path else root / WAIVER_FILENAME
     )

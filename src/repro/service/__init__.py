@@ -79,7 +79,6 @@ from repro.service.metrics import (
 from repro.service.router import (
     HashRing,
     HealthMonitor,
-    RouterAdmin,
     RouterConfig,
     RouterServer,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "MODELS",
     "ModelServer",
     "RetryPolicy",
-    "RouterAdmin",
     "RouterConfig",
     "RouterServer",
     "ServerConfig",

@@ -31,7 +31,6 @@ parameters offer byte-identical workloads.  Two workload mixes:
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, replace
@@ -50,8 +49,6 @@ __all__ = [
     "TARGET_CONNECT_TIMEOUT",
     "arrival_schedule",
     "build_requests",
-    "parse_arrival_spec",
-    "ramp_arrival_schedule",
     "run_closed_loop",
     "run_open_loop",
     "bench_serving",
@@ -328,74 +325,6 @@ def arrival_schedule(
     return np.cumsum(rng.exponential(1.0 / rate, requests))
 
 
-def ramp_arrival_schedule(
-    lo: float, hi: float, seconds: float, *, seed: int = _DEFAULT_SEED
-) -> np.ndarray:
-    """Inhomogeneous-Poisson arrivals ramping ``lo`` → ``hi`` req/s.
-
-    The instantaneous rate rises (or falls) linearly over ``seconds``,
-    which drives admission and deadline batching through a smooth
-    change of load.  Sampling is by inversion — unit-rate exponential
-    inter-arrivals are mapped through the inverse of the cumulative
-    rate ``Λ(t) = lo·t + (hi − lo)·t²/(2·seconds)`` — so, like
-    :func:`arrival_schedule`, one seeded ``np.random.default_rng``
-    draw makes the same ``(lo, hi, seconds, seed)`` quadruple yield a
-    bit-identical schedule everywhere.  Expected arrivals:
-    ``(lo + hi) / 2 * seconds``.
-    """
-    if not lo > 0 or not hi > 0:
-        raise ValueError(f"ramp rates must be positive, got lo={lo} hi={hi}")
-    if not seconds > 0:
-        raise ValueError(f"ramp duration must be positive, got {seconds}")
-    rng = np.random.default_rng(seed)
-    slope = (hi - lo) / seconds
-    total = lo * seconds + slope * seconds * seconds / 2.0
-    # Oversample the unit-rate stream so one draw almost always covers
-    # Λ(seconds); top up (rarely) if the tail came up short.
-    marks = np.cumsum(
-        rng.exponential(1.0, int(total + 6.0 * math.sqrt(total) + 16.0))
-    )
-    while marks[-1] <= total:  # pragma: no cover - ~6-sigma tail
-        extra = np.cumsum(rng.exponential(1.0, 64)) + marks[-1]
-        marks = np.concatenate([marks, extra])
-    marks = marks[marks <= total]
-    if math.isclose(hi, lo):
-        return marks / lo  # degenerate flat ramp: homogeneous Poisson
-    # Invert lo·t + slope·t²/2 = E for t; the discriminant is
-    # (lo + slope·t)² >= hi² > 0 on the covered range, so sqrt is safe
-    # for ramps down as well as up.
-    return (np.sqrt(lo * lo + 2.0 * slope * marks) - lo) / slope
-
-
-def parse_arrival_spec(
-    spec: str, *, seed: int = _DEFAULT_SEED
-) -> np.ndarray:
-    """Arrival schedule named by a CLI spec string.
-
-    ``"ramp:LO:HI:SECS"`` is the linear ramp of
-    :func:`ramp_arrival_schedule`; the request count is whatever the
-    schedule yields (callers size their request stream to match).
-    """
-    kind, _, rest = spec.partition(":")
-    if kind == "ramp":
-        parts = rest.split(":")
-        if len(parts) != 3:
-            raise ValueError(
-                f"ramp arrival spec must be 'ramp:LO:HI:SECS', got {spec!r}"
-            )
-        try:
-            lo, hi, seconds = (float(part) for part in parts)
-        except ValueError:
-            raise ValueError(
-                f"ramp arrival spec must be 'ramp:LO:HI:SECS' with numeric "
-                f"fields, got {spec!r}"
-            ) from None
-        return ramp_arrival_schedule(lo, hi, seconds, seed=seed)
-    raise ValueError(
-        f"unknown arrival spec {spec!r}; supported: 'ramp:LO:HI:SECS'"
-    )
-
-
 def _merge_server_stats(servers: Sequence[ModelServer]) -> dict[str, Any]:
     """Pipeline statistics summed/merged across server instances.
 
@@ -566,7 +495,7 @@ async def run_closed_loop(
 async def run_open_loop(
     server: ModelServer | None,
     *,
-    rate: float | None = None,
+    rate: float,
     requests: int = 2000,
     machines: Sequence[str] = _DEFAULT_MACHINES,
     model: str = "energy",
@@ -575,7 +504,6 @@ async def run_open_loop(
     workload: str = "scalar",
     seed: int = _DEFAULT_SEED,
     timeout_ms: float | None = None,
-    arrivals: np.ndarray | None = None,
     client: Any | None = None,
     backends: Sequence[ModelServer] = (),
 ) -> LoadReport:
@@ -589,18 +517,8 @@ async def run_open_loop(
     **intended** arrival time — dispatch lateness and queueing delay
     count, which closed-loop generators structurally cannot see
     (coordinated omission).
-
-    ``arrivals`` overrides the Poisson schedule with explicit arrival
-    instants (e.g. :func:`ramp_arrival_schedule`); the request count
-    then follows the schedule length and ``rate`` is unused.
     """
-    if arrivals is None:
-        if rate is None:
-            raise ValueError("either rate or arrivals is required")
-        arrivals = arrival_schedule(rate, requests, seed=seed)
-    else:
-        arrivals = np.asarray(arrivals, dtype=float)
-        requests = int(arrivals.size)
+    arrivals = arrival_schedule(rate, requests, seed=seed)
     bodies = build_requests(
         requests,
         machines=machines,
@@ -659,7 +577,6 @@ def bench_serving(
     unique_intensities: bool = True,
     workload: str = "scalar",
     open_loop_rate: float | None = None,
-    arrival: str | None = None,
     timeout_ms: float | None = None,
     wire: str = "inproc",
     router_backends: int = 0,
@@ -668,13 +585,12 @@ def bench_serving(
 ) -> LoadReport:
     """One synchronous end-to-end serving benchmark run.
 
-    Builds the topology, runs the load — a closed loop by default, a
-    Poisson open loop at ``open_loop_rate`` requests/s, or the seeded
-    ramp ``arrival="ramp:LO:HI:SECS"`` (:func:`ramp_arrival_schedule`;
-    the request count follows the schedule) — drains, and returns the
-    report.  Local servers are built from ``config``; ``None`` means
-    the defaults with the response cache off (``cache_size=0``), so
-    the run isolates the execution path under test.  The admission
+    Builds the topology, runs the load — a closed loop by default, or
+    a Poisson open loop at ``open_loop_rate`` requests/s — drains, and
+    returns the report.  Local servers are built from ``config``;
+    ``None`` means the defaults with the response cache off
+    (``cache_size=0``), so the run isolates the execution path under
+    test.  The admission
     queue is widened to at least ``2 * concurrency``.
 
     The topology follows from three arguments.  ``wire="inproc"``
@@ -703,11 +619,6 @@ def bench_serving(
         )
     if router_backends > 0 and target is not None:
         raise ValueError("router_backends and target are mutually exclusive")
-    if arrival is not None and open_loop_rate is not None:
-        raise ValueError(
-            "arrival and open_loop_rate are mutually exclusive — the "
-            "arrival spec defines its own rate profile"
-        )
     if target is not None:
         if config is not None:
             raise ValueError(
@@ -719,11 +630,10 @@ def bench_serving(
         config = replace(
             config, queue_limit=max(config.queue_limit, 2 * concurrency)
         )
-    if arrival is None and open_loop_rate is None:
+    if open_loop_rate is None:
         loop = partial(run_closed_loop, concurrency=concurrency)
     else:
-        arrivals = parse_arrival_spec(arrival) if arrival is not None else None
-        loop = partial(run_open_loop, rate=open_loop_rate, arrivals=arrivals)
+        loop = partial(run_open_loop, rate=open_loop_rate)
     drive = partial(
         loop,
         requests=requests,

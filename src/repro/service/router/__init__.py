@@ -12,11 +12,8 @@ negotiated binary wire) and fans requests out over TCP to N replicated
 * :mod:`~repro.service.router.router` — the
   :class:`~repro.service.router.router.RouterServer` itself: wire
   surface, replica failover, per-backend metrics.
-* :mod:`~repro.service.router.admin` — zero-downtime membership
-  changes with a minimal-movement drain.
 """
 
-from repro.service.router.admin import ReconfigGate, RouterAdmin
 from repro.service.router.health import BackendHealth, HealthMonitor
 from repro.service.router.ring import DEFAULT_VNODES, HashRing, hash_position
 from repro.service.router.router import (
@@ -32,8 +29,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "HashRing",
     "HealthMonitor",
-    "ReconfigGate",
-    "RouterAdmin",
     "RouterConfig",
     "RouterServer",
     "hash_position",

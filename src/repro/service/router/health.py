@@ -73,8 +73,8 @@ class HealthMonitor:
         ``async (backend: str) -> bool`` — true on a healthy answer.
         Must not raise; the router's probe wraps its transport errors.
     backends:
-        Initial membership; :meth:`add_backend` / :meth:`remove_backend`
-        follow ring reconfiguration.
+        Membership, fixed for the monitor's life (every backend starts
+        ``up``).
     interval:
         Seconds between probe rounds.
     down_after:
@@ -100,20 +100,6 @@ class HealthMonitor:
             b: BackendHealth(b) for b in backends
         }
         self._task: asyncio.Task | None = None
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-
-    def add_backend(self, backend: str) -> None:
-        """Start tracking ``backend`` (fresh backends start ``up``)."""
-        self._state.setdefault(backend, BackendHealth(backend))
-
-    def remove_backend(self, backend: str) -> None:
-        self._state.pop(backend, None)
-
-    def backends(self) -> tuple[str, ...]:
-        return tuple(sorted(self._state))
 
     # ------------------------------------------------------------------
     # Evidence

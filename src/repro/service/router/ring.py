@@ -1,33 +1,30 @@
 """Consistent-hash ring with virtual nodes and per-key replication.
 
-The scale-out router places request keys — the same ``(machine[, model])``
-strings :func:`repro.service.workers.route_key` builds for the in-process
-worker pool — on a ring of backend server instances.  Each backend
-contributes ``vnodes`` virtual points so load stays balanced even with a
-handful of backends, and each key maps to the first ``replication``
-*distinct* backends clockwise from its hash, giving hot machines more
-than one home without giving up deterministic placement.
+The scale-out router places request keys — machine names, the same keys
+the in-process worker pool shards on — on a ring of backend server
+instances.  Each backend contributes ``vnodes`` virtual points so load
+stays balanced even with a handful of backends, and each key maps to
+the first ``replication`` *distinct* backends clockwise from its hash,
+giving hot machines more than one home without giving up deterministic
+placement.
 
 Hashing is :func:`hashlib.blake2b` with an 8-byte digest: stable across
 processes, platforms, and ``PYTHONHASHSEED`` (unlike ``hash()``), cheap
 enough for a per-request lookup, and long enough that vnode collisions
 are a non-issue at any plausible ring size.
 
-Rings are immutable.  Membership changes build a *new* ring via
-:meth:`HashRing.with_backend` / :meth:`HashRing.without_backend`, which
-is what makes the minimal-movement property checkable: adding a backend
-can only move a key *to* the new backend (its replica set stays inside
-``old ∪ {added}``), and removing one can only move keys *off* it (the
-new set covers ``old − {removed}``).  The admin drain in
-:mod:`repro.service.router.admin` leans on exactly this to block only
-the keys whose placement actually changes.
+Rings are immutable, and placement depends only on the set of
+backends, so the minimal-movement property is checkable by building two
+rings: adding a backend can only move a key *to* the new backend (its
+replica set stays inside ``old ∪ {added}``), and removing one can only
+move keys *off* it (the new set covers ``old − {removed}``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = ["DEFAULT_VNODES", "HashRing", "hash_position"]
 
@@ -123,46 +120,6 @@ class HashRing:
         return owners[0] if owners else None
 
     # ------------------------------------------------------------------
-    # Membership (immutable updates)
-    # ------------------------------------------------------------------
-
-    def with_backend(self, backend: str) -> "HashRing":
-        """A new ring with ``backend`` added."""
-        if backend in self._backends:
-            raise ValueError(f"backend already on ring: {backend!r}")
-        return HashRing(
-            self._backends + (backend,),
-            vnodes=self.vnodes,
-            replication=self.replication,
-        )
-
-    def without_backend(self, backend: str) -> "HashRing":
-        """A new ring with ``backend`` removed."""
-        if backend not in self._backends:
-            raise ValueError(f"backend not on ring: {backend!r}")
-        return HashRing(
-            (b for b in self._backends if b != backend),
-            vnodes=self.vnodes,
-            replication=self.replication,
-        )
-
-    def with_replication(self, replication: int) -> "HashRing":
-        """A new ring with the same members, different replication."""
-        return HashRing(
-            self._backends, vnodes=self.vnodes, replication=replication
-        )
-
-    def moved_keys(
-        self, other: "HashRing", keys: Sequence[str]
-    ) -> list[str]:
-        """The subset of ``keys`` whose replica set differs on ``other``.
-
-        This is the drain set for a membership change: requests for
-        unmoved keys keep flowing during reconfiguration.
-        """
-        return [k for k in keys if self.replicas(k) != other.replicas(k)]
-
-    # ------------------------------------------------------------------
 
     def describe(self) -> dict[str, object]:
         """JSON-ready summary for the ``stats`` op."""
@@ -172,9 +129,6 @@ class HashRing:
             "replication": self.replication,
             "points": len(self._points),
         }
-
-    def __contains__(self, backend: object) -> bool:
-        return backend in self._backends
 
     def __len__(self) -> int:
         return len(self._backends)

@@ -57,11 +57,9 @@ from repro.service.protocol import (
     ok_response,
     error_response,
 )
-from repro.service.router.admin import RouterAdmin
 from repro.service.router.health import HealthMonitor
 from repro.service.router.ring import DEFAULT_VNODES, HashRing
 from repro.service.wire import WIRE_BINARY, WIRE_NDJSON
-from repro.service.workers import route_key
 from repro.units import to_milliseconds
 
 __all__ = ["BackendHandle", "RouterConfig", "RouterServer", "parse_backend"]
@@ -100,9 +98,6 @@ class RouterConfig:
         Distinct replicas per key (clamped to the backend count).
     vnodes:
         Virtual ring points per backend.
-    shard_by:
-        ``machine`` or ``model`` — the :func:`~repro.service.workers.
-        route_key` scheme, matching the in-process worker pool.
     attempts, base_delay, max_delay, retry_seed:
         Failover retry budget and backoff shape (see
         :class:`~repro.service.client.RetryPolicy`).
@@ -119,7 +114,6 @@ class RouterConfig:
     backend_wire: str = WIRE_BINARY
     replication: int = 1
     vnodes: int = DEFAULT_VNODES
-    shard_by: str = "machine"
     attempts: int = 3
     base_delay: float = 0.02
     max_delay: float = 0.5
@@ -130,10 +124,6 @@ class RouterConfig:
     connect_timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.shard_by not in ("machine", "model"):
-            raise ValueError(
-                f"shard_by must be 'machine' or 'model', got {self.shard_by!r}"
-            )
         if self.backend_wire not in (WIRE_BINARY, WIRE_NDJSON):
             raise ValueError(
                 f"backend_wire must be {WIRE_BINARY!r} or {WIRE_NDJSON!r}, "
@@ -259,8 +249,7 @@ class RouterServer(WireFrontend):
         ...
         await router.stop()
 
-    Reconfiguration goes through :attr:`admin`
-    (:class:`~repro.service.router.admin.RouterAdmin`).
+    Membership and replication are fixed for the router's life.
     """
 
     def __init__(
@@ -285,7 +274,13 @@ class RouterServer(WireFrontend):
             replication=self.config.replication,
         )
         self._handles: dict[str, BackendHandle] = {
-            b: self._make_handle(b) for b in backend_ids
+            b: BackendHandle(
+                b,
+                metrics=self.metrics,
+                wire=self.config.backend_wire,
+                connect_timeout=self.config.connect_timeout,
+            )
+            for b in backend_ids
         }
         self.health = HealthMonitor(
             self._probe,
@@ -299,25 +294,11 @@ class RouterServer(WireFrontend):
             max_delay=self.config.max_delay,
             seed=self.config.retry_seed,
         )
-        self.admin = RouterAdmin(self)
         self._requests_total = self.metrics.counter("requests_total")
         self._retries_total = self.metrics.counter("retries_total")
         self._failovers_total = self.metrics.counter("failovers_total")
         self._latency = self.metrics.histogram("latency_ms")
-        # In-flight request count per routing key, for the admin drain:
-        # a membership change blocks only *moved* keys, and waits for
-        # their in-flight requests to settle before swapping the ring.
-        self._inflight: dict[str, int] = {}
-        self._inflight_changed = asyncio.Event()
         self._started = time.perf_counter()
-
-    def _make_handle(self, backend: str) -> BackendHandle:
-        return BackendHandle(
-            backend,
-            metrics=self.metrics,
-            wire=self.config.backend_wire,
-            connect_timeout=self.config.connect_timeout,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -340,12 +321,9 @@ class RouterServer(WireFrontend):
     # ------------------------------------------------------------------
 
     async def _probe(self, backend: str) -> bool:
-        handle = self._handles.get(backend)
-        if handle is None:
-            return False
         try:
             async with asyncio.timeout(self.config.probe_timeout):
-                reply = await handle.call({"op": "ping"})
+                reply = await self._handles[backend].call({"op": "ping"})
         except (ServiceError, asyncio.TimeoutError, TimeoutError):
             return False
         return bool(reply.get("ok"))
@@ -357,18 +335,13 @@ class RouterServer(WireFrontend):
     def routing_key(self, request: dict[str, Any]) -> str:
         """The placement key for one request.
 
-        Requests with a ``machine`` route exactly like the worker
-        pool's shards; keyless ops (``machines``…) route on a synthetic
-        per-op key so they still land deterministically.
+        Requests with a ``machine`` key on its name, exactly like the
+        worker pool's shards; keyless ops (``machines``…) route on a
+        synthetic per-op key so they still land deterministically.
         """
         machine = request.get("machine")
         if isinstance(machine, str) and machine:
-            model = request.get("model")
-            return route_key(
-                self.config.shard_by,
-                machine,
-                model if isinstance(model, str) else None,
-            )
+            return machine
         op = request.get("op")
         return f"\x00op:{op}" if isinstance(op, str) else "\x00op:"
 
@@ -401,20 +374,7 @@ class RouterServer(WireFrontend):
             return ok_response(request_id, {"pong": True})
         if op == "stats":
             return ok_response(request_id, self.stats())
-        key = self.routing_key(request)
-        gate = self.admin.gate
-        if gate is not None and gate.moves(key):
-            await gate.done.wait()
-        self._inflight[key] = self._inflight.get(key, 0) + 1
-        try:
-            response = await self._forward(request, key)
-        finally:
-            remaining = self._inflight[key] - 1
-            if remaining:
-                self._inflight[key] = remaining
-            else:
-                del self._inflight[key]
-            self._inflight_changed.set()
+        response = await self._forward(request, self.routing_key(request))
         self._latency.observe(to_milliseconds(time.perf_counter() - started))
         return response if encoded else decoded(response)
 
@@ -440,9 +400,7 @@ class RouterServer(WireFrontend):
         last_error: ServiceError | None = None
         for attempt in range(1, tries + 1):
             backend = candidates[(attempt - 1) % len(candidates)]
-            handle = self._handles.get(backend)
-            if handle is None:  # pragma: no cover - reconfig race guard
-                continue
+            handle = self._handles[backend]
             if attempt > 1:
                 self._retries_total.inc()
                 if backend != candidates[0]:
@@ -521,25 +479,20 @@ class RouterServer(WireFrontend):
     def stats(self) -> dict[str, Any]:
         """Router-side view: ring, health, per-backend instruments."""
         health = self.health.snapshot()
-        backends = {}
-        for backend in self.ring.backends:
-            entry = dict(health.get(backend, {}))
-            handle = self._handles.get(backend)
-            if handle is not None:
-                entry.update(handle.snapshot())
-            backends[backend] = entry
+        backends = {
+            backend: {**health[backend], **self._handles[backend].snapshot()}
+            for backend in self.ring.backends
+        }
         snapshot = self.metrics.snapshot()
         snapshot["role"] = "router"
         snapshot["uptime_s"] = time.perf_counter() - self._started
         snapshot["ring"] = self.ring.describe()
         snapshot["backends"] = backends
-        snapshot["inflight_keys"] = len(self._inflight)
         snapshot["config"] = {
             "wire": self.config.wire,
             "backend_wire": self.config.backend_wire,
             "replication": self.config.replication,
             "vnodes": self.config.vnodes,
-            "shard_by": self.config.shard_by,
             "attempts": self.config.attempts,
             "health_interval": self.config.health_interval,
             "down_after": self.config.down_after,

@@ -133,9 +133,6 @@ class ServerConfig:
         behaviour; ``N >= 1`` spawns a sharded
         :class:`~repro.service.workers.WorkerPool` and routes batches,
         grids, and structured analyses through it.
-    shard_by:
-        Worker routing-key granularity, ``"machine"`` or ``"model"``
-        (see :func:`~repro.service.workers.route_key`).
     worker_queue_limit:
         Per-shard bound on concurrently submitted worker jobs; excess
         get ``overloaded`` replies.
@@ -181,7 +178,6 @@ class ServerConfig:
         default=None, compare=False
     )
     workers: int = 0
-    shard_by: str = "machine"
     worker_queue_limit: int = 256
     wire: str = "auto"
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
@@ -222,7 +218,6 @@ class ModelServer(WireFrontend):
         self.pool: WorkerPool | None = (
             WorkerPool(
                 self.config.workers,
-                shard_by=self.config.shard_by,
                 queue_limit=self.config.worker_queue_limit,
                 plan_cache_size=self.config.plan_cache_size,
                 metrics=self.metrics,
@@ -506,7 +501,7 @@ class ModelServer(WireFrontend):
                     values = await self.pool.submit(
                         "eval_batch",
                         (machine, model, metric, grid),
-                        self.pool.key_for(machine, model),
+                        machine,
                     )
                 else:
                     values = self.engine.eval_batch(
@@ -542,7 +537,7 @@ class ModelServer(WireFrontend):
                 result = await self.pool.submit(
                     "op",
                     ("curve", {"machine_key": machine, **kwargs}),
-                    self.pool.key_for(machine),
+                    machine,
                     listify=False,
                 )
                 arrays["intensities"] = result.pop("intensities")
@@ -598,7 +593,7 @@ class ModelServer(WireFrontend):
             return await self.pool.submit(
                 "op",
                 (op, {"machine_key": machine, **kwargs}),
-                self.pool.key_for(machine),
+                machine,
             )
         return getattr(self.engine, op)(machine, **kwargs)
 
@@ -611,7 +606,7 @@ class ModelServer(WireFrontend):
         return await self.pool.submit(
             "eval_batch",
             (machine, model, metric, intensities),
-            self.pool.key_for(machine, model),
+            machine,
         )
 
     # ------------------------------------------------------------------
@@ -639,7 +634,6 @@ class ModelServer(WireFrontend):
             "cache_ttl": self.config.cache_ttl,
             "queue_limit": self.config.queue_limit,
             "workers": self.config.workers,
-            "shard_by": self.config.shard_by,
             "wire": self.config.wire,
             "plan_cache_size": self.config.plan_cache_size,
             "admission": self.config.admission,

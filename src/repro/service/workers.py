@@ -6,7 +6,7 @@ every curve/greenup analysis runs *on that loop*, so one fat batch
 stalls accept/read/write for every connection.  This module hosts N
 persistent worker **processes** — spawned once, each holding a warm
 :class:`~repro.service.engine.EvalEngine` — and routes each job to a
-shard chosen by a stable hash of its routing key, so per-shard engine
+shard chosen by a stable hash of its machine name, so per-shard engine
 memos (resolved machines, model instances, bound batch methods) stay
 hot and results are bit-identical and order-invariant regardless of
 worker count: every worker runs the exact same IEEE operations the
@@ -83,14 +83,7 @@ from repro.service.protocol import (
 from repro.service.shmring import SLOT_SIZE, RingArena, RingError
 from repro.units import to_milliseconds
 
-__all__ = [
-    "WorkerPool",
-    "SHARD_BY_CHOICES",
-    "route_key",
-]
-
-#: Routing-key granularities accepted by ``shard_by``.
-SHARD_BY_CHOICES = ("machine", "model")
+__all__ = ["WorkerPool"]
 
 #: Distinguishes spill/ring names of pools that share a parent pid.
 _POOL_COUNTER = itertools.count()
@@ -109,21 +102,6 @@ _ENGINE_OPS = frozenset({"curve", "balance", "tradeoff", "greenup", "describe"})
 _ARRAY_RESULT_FIELDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "curve": ("curve_arrays", ("intensities", "values")),
 }
-
-
-def route_key(shard_by: str, machine: str, model: str | None = None) -> str:
-    """The stable routing key for one job.
-
-    ``shard_by="machine"`` keys on the machine alone, so *all* models
-    of one machine share a shard (smallest number of warm machine
-    resolutions).  ``shard_by="model"`` keys on ``(machine, model)``,
-    spreading one hot machine's model families across shards.  Jobs
-    with no model component (curve, balance, …) always key on the
-    machine so they land where that machine is already resolved.
-    """
-    if shard_by == "model" and model is not None:
-        return f"{machine}\x1f{model}"
-    return machine
 
 
 def _stable_shard(key: str, n: int) -> int:
@@ -377,8 +355,6 @@ class WorkerPool:
     workers:
         Number of worker processes (>= 1; the server uses ``0`` to mean
         "no pool at all" and never constructs one).
-    shard_by:
-        Routing-key granularity — see :func:`route_key`.
     queue_limit:
         Per-shard bound on concurrently admitted jobs; excess
         submissions raise ``overloaded`` immediately.
@@ -395,21 +371,15 @@ class WorkerPool:
         self,
         workers: int,
         *,
-        shard_by: str = "machine",
         queue_limit: int = 256,
         plan_cache_size: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shard_by not in SHARD_BY_CHOICES:
-            raise ValueError(
-                f"shard_by must be one of {SHARD_BY_CHOICES}, got {shard_by!r}"
-            )
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
         self.workers = workers
-        self.shard_by = shard_by
         self.queue_limit = queue_limit
         self.plan_cache_size = plan_cache_size
         #: Unique token prefixing every shared-memory name this pool
@@ -499,14 +469,6 @@ class WorkerPool:
     # Submission
     # ------------------------------------------------------------------
 
-    def shard_of(self, key: str) -> int:
-        """Shard index a routing key maps to (stable across runs)."""
-        return _stable_shard(key, self.workers)
-
-    def key_for(self, machine: str, model: str | None = None) -> str:
-        """Routing key under this pool's ``shard_by`` policy."""
-        return route_key(self.shard_by, machine, model)
-
     @property
     def inflight(self) -> int:
         """Jobs admitted and not yet replied to, across all shards."""
@@ -534,6 +496,9 @@ class WorkerPool:
         self, kind: str, payload: Any, key: str, *, listify: bool = True
     ) -> Any:
         """Run one job on the shard ``key`` routes to; returns its result.
+
+        The server keys every job on its machine name, so all models of
+        one machine share a shard and its warm machine resolutions.
 
         Raises :class:`~repro.exceptions.ServiceError` with the worker's
         error code on evaluation failure, ``overloaded`` when the
@@ -716,7 +681,6 @@ class WorkerPool:
             )
         return {
             "workers": self.workers,
-            "shard_by": self.shard_by,
             "queue_limit": self.queue_limit,
             "uptime_seconds": round(uptime, 6),
             "shards": shards,

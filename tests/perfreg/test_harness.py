@@ -9,9 +9,13 @@ synthetic check times a no-op on a :class:`FakeClock` whose ``step``
 
 from __future__ import annotations
 
+import subprocess
+from pathlib import Path
 from typing import Mapping
 
 import pytest
+
+import repro
 
 from repro.perfreg import (
     Metric,
@@ -22,6 +26,7 @@ from repro.perfreg import (
     run_checks,
 )
 from repro.perfreg.check import HIGHER_IS_BETTER
+from repro.perfreg.env import env_fingerprint
 from repro.perfreg.harness import baseline_table
 from repro.perfreg.trajectory import bench_path
 
@@ -264,3 +269,34 @@ class TestHigherIsBetterDirection:
         assert _run(tmp_path, registry, fake_clock).exit_code == 2
         Throughput.value = 200.0  # doubling is an improvement, not a fail
         assert _run(tmp_path, registry, fake_clock).exit_code == 0
+
+
+class TestProvenance:
+    """A record names the commit of the code it measured, wherever the
+    trajectory root lives."""
+
+    @staticmethod
+    def _package_head() -> str:
+        package = Path(repro.__file__).resolve().parent
+        try:
+            return subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"],
+                cwd=package, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            pytest.skip("the repro package is not in a git checkout")
+
+    def test_fingerprint_ignores_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        head = self._package_head()
+        monkeypatch.chdir(tmp_path)
+        assert env_fingerprint()["git_sha"].removesuffix("-dirty") == head
+
+    def test_record_under_a_non_git_root_stamps_the_code_sha(
+        self, tmp_path, timed_registry, fake_clock
+    ):
+        head = self._package_head()
+        _run(tmp_path, timed_registry, fake_clock)
+        (record,) = load_records(bench_path(tmp_path, "synthetic"))
+        assert record.env["git_sha"].removesuffix("-dirty") == head

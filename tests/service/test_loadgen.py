@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import math
 import socket
 import threading
 import time
@@ -16,8 +15,6 @@ from repro.service.loadgen import (
     LoadReport,
     bench_serving,
     intensity_sequence,
-    parse_arrival_spec,
-    ramp_arrival_schedule,
 )
 
 
@@ -251,80 +248,7 @@ class TestOpenLoop:
             bench_serving(requests=8, open_loop_rate=-5.0)
 
 
-class TestRampArrivals:
-    def test_same_seed_is_bit_identical(self):
-        a = ramp_arrival_schedule(20.0, 200.0, 2.0, seed=7)
-        b = ramp_arrival_schedule(20.0, 200.0, 2.0, seed=7)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(
-            a[: min(a.size, 32)],
-            ramp_arrival_schedule(20.0, 200.0, 2.0, seed=8)[:32],
-        )
-
-    def test_monotone_and_inside_the_window(self):
-        arrivals = ramp_arrival_schedule(50.0, 500.0, 1.0)
-        assert np.all(np.diff(arrivals) > 0)
-        assert arrivals[0] > 0
-        assert arrivals[-1] <= 1.0
-
-    def test_ramp_up_back_loads_the_window(self):
-        arrivals = ramp_arrival_schedule(10.0, 1000.0, 2.0)
-        half = np.searchsorted(arrivals, 1.0)
-        # Rate at t=2 is 100x the rate at t=0; the second half must
-        # hold well over half the arrivals (exactly 1515/2020 expected).
-        assert arrivals.size - half > 1.5 * half
-
-    def test_ramp_down_front_loads_the_window(self):
-        arrivals = ramp_arrival_schedule(1000.0, 10.0, 2.0)
-        half = np.searchsorted(arrivals, 1.0)
-        assert half > 1.5 * (arrivals.size - half)
-
-    def test_expected_count_tracks_the_trapezoid(self):
-        arrivals = ramp_arrival_schedule(100.0, 300.0, 2.0)
-        # E = (lo + hi) / 2 * seconds = 400; Poisson sigma = 20.
-        assert 300 < arrivals.size < 500
-
-    def test_flat_ramp_degenerates_to_homogeneous_poisson(self):
-        from repro.service.loadgen import arrival_schedule
-
-        flat = ramp_arrival_schedule(250.0, 250.0, 1.0, seed=3)
-        assert np.all(np.diff(flat) > 0)
-        assert flat[-1] <= 1.0
-        # Same inversion a homogeneous schedule would apply: uniform
-        # density, so the two halves of the window hold similar counts.
-        half = np.searchsorted(flat, 0.5)
-        assert abs(flat.size - 2 * half) < 5 * math.sqrt(flat.size)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "poisson:10:20:1",      # unknown kind
-            "ramp:10:20",           # wrong arity
-            "ramp:10:20:1:5",       # wrong arity
-            "ramp:ten:20:1",        # non-numeric
-            "ramp:0:20:1",          # non-positive rate
-            "ramp:10:-1:1",         # non-positive rate
-            "ramp:10:20:0",         # non-positive duration
-        ],
-    )
-    def test_parse_rejects_malformed_specs(self, spec):
-        with pytest.raises(ValueError):
-            parse_arrival_spec(spec)
-
-    def test_parse_round_trips_the_named_schedule(self):
-        assert np.array_equal(
-            parse_arrival_spec("ramp:20:80:1.5", seed=11),
-            ramp_arrival_schedule(20.0, 80.0, 1.5, seed=11),
-        )
-
-
 class TestFailFast:
-    def test_arrival_and_open_loop_rate_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            bench_serving(
-                requests=8, open_loop_rate=50.0, arrival="ramp:10:20:0.5"
-            )
-
     @pytest.mark.parametrize(
         "kwargs",
         [

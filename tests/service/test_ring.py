@@ -11,9 +11,9 @@ Three properties carry the router's correctness story:
   strays far from fair — the property that makes "add a backend" mean
   "add capacity" rather than "add a hot spot".
 * **Minimal movement.**  Adding a backend only moves keys *to* it;
-  removing one only moves keys *off* it.  The admin drain blocks only
-  moved keys, so this bound is exactly what "zero-downtime reconfig"
-  rests on.
+  removing one only moves keys *off* it — checked by building the old
+  and the new ring from scratch, since placement depends only on the
+  backend set.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ PINNED_POSITIONS = {
 
 BACKENDS = ("10.0.0.1:8733", "10.0.0.2:8733", "10.0.0.3:8733")
 
-#: A realistic key population: machine-style and (machine, model)-style
-#: routing keys, same shapes repro.service.workers.route_key emits.
+#: A key population: machine-name routing keys plus composite strings.
 KEYS = tuple(f"machine-{i}" for i in range(400)) + tuple(
     f"machine-{i}\x1fmodel-{j}" for i in range(100) for j in range(4)
 )
@@ -62,13 +61,12 @@ class TestDeterminism:
             assert forward.replicas(key) == backward.replicas(key)
 
     def test_placement_independent_of_construction_history(self):
-        """Built fresh vs grown via with_backend: same ring, same answers."""
+        """Built from a tuple, a set or a generator: same answers."""
         fresh = HashRing(BACKENDS, replication=2)
-        grown = HashRing(BACKENDS[:1], replication=2)
-        for backend in BACKENDS[1:]:
-            grown = grown.with_backend(backend)
-        for key in KEYS[:200]:
-            assert fresh.replicas(key) == grown.replicas(key)
+        for source in (set(BACKENDS), (b for b in BACKENDS)):
+            other = HashRing(source, replication=2)
+            for key in KEYS[:200]:
+                assert fresh.replicas(key) == other.replicas(key)
 
     @given(backends=backend_sets, key=keys)
     @settings(max_examples=100, deadline=None)
@@ -111,13 +109,18 @@ class TestBalance:
         assert spread(DEFAULT_VNODES) < spread(1)
 
 
+def moved(old: HashRing, new: HashRing) -> list[str]:
+    """The keys whose replica set differs between two rings."""
+    return [key for key in KEYS if old.replicas(key) != new.replicas(key)]
+
+
 class TestMinimalMovement:
     @given(backends=backend_sets, key=keys)
     @settings(max_examples=100, deadline=None)
     def test_add_moves_keys_only_to_the_new_backend(self, backends, key):
-        old = HashRing(backends, replication=2, vnodes=8)
         added = "zz-new:1"
-        new = old.with_backend(added)
+        old = HashRing(backends, replication=2, vnodes=8)
+        new = HashRing([*backends, added], replication=2, vnodes=8)
         assert set(new.replicas(key)) <= set(old.replicas(key)) | {added}
 
     @given(backends=st.sets(st.sampled_from(BACKENDS), min_size=2), key=keys)
@@ -125,37 +128,33 @@ class TestMinimalMovement:
     def test_remove_moves_keys_only_off_the_removed_backend(
         self, backends, key
     ):
-        old = HashRing(backends, replication=2, vnodes=8)
         removed = sorted(backends)[0]
-        new = old.without_backend(removed)
+        old = HashRing(backends, replication=2, vnodes=8)
+        new = HashRing(backends - {removed}, replication=2, vnodes=8)
         assert set(new.replicas(key)) >= set(old.replicas(key)) - {removed}
 
     def test_moved_fraction_is_small_on_add(self):
         """Adding a 4th backend moves ≈1/4 of primaries, not ≈all."""
         old = HashRing(BACKENDS)
-        new = old.with_backend("10.0.0.4:8733")
-        moved = old.moved_keys(new, KEYS)
-        assert len(moved) <= 0.40 * len(KEYS)
-        for key in moved:
+        new = HashRing([*BACKENDS, "10.0.0.4:8733"])
+        keys = moved(old, new)
+        assert keys and len(keys) <= 0.40 * len(KEYS)
+        for key in keys:
             assert new.primary(key) == "10.0.0.4:8733"
 
     def test_moved_keys_round_trip(self):
+        """Removing a backend moves exactly the keys it held."""
         old = HashRing(BACKENDS, replication=2)
-        new = old.without_backend(BACKENDS[1])
-        moved = set(old.moved_keys(new, KEYS))
-        for key in KEYS:
-            changed = old.replicas(key) != new.replicas(key)
-            assert (key in moved) == changed
+        new = HashRing(
+            [b for b in BACKENDS if b != BACKENDS[1]], replication=2
+        )
+        assert set(moved(old, new)) == {
+            key for key in KEYS if BACKENDS[1] in old.replicas(key)
+        }
 
-    def test_membership_helpers(self):
+    def test_membership_and_describe(self):
         ring = HashRing(BACKENDS)
-        assert BACKENDS[0] in ring
-        assert "absent:1" not in ring
+        assert ring.backends == tuple(sorted(BACKENDS))
         assert len(ring) == 3
-        with pytest.raises(ValueError):
-            ring.with_backend(BACKENDS[0])
-        with pytest.raises(ValueError):
-            ring.without_backend("absent:1")
-        assert ring.with_replication(2).replication == 2
         description = ring.describe()
         assert description["points"] == 3 * DEFAULT_VNODES

@@ -1,4 +1,4 @@
-"""The scale-out router end to end: byte-identity, failover, reconfig.
+"""The scale-out router end to end: byte-identity, routing, failover.
 
 The load-bearing assertion is the **byte-identity invariant**: the
 canonical response bytes a client reads must not depend on topology —
@@ -17,8 +17,6 @@ Around that core:
   failover order (placement never changes), first success promotes it;
 * failover: a stopped backend is retried on the next replica and the
   client sees the same bytes it would have read from a healthy ring;
-* admin: add/remove/re-replicate a live router under traffic, with
-  minimal key movement and no failed requests;
 * the :class:`~repro.service.client.RetryPolicy` satellite: seeded
   jitter, capped growth, retriable-only retries, sync and async.
 """
@@ -471,104 +469,6 @@ class TestHealth:
     def test_unknown_backends_read_healthy(self):
         monitor = HealthMonitor(lambda b: None)
         assert monitor.is_healthy("never-seen:1")
-
-
-class TestAdmin:
-    def test_add_then_remove_under_traffic(self):
-        async def scenario():
-            backends, addresses = await start_backends(2)
-            extra = make_backend()
-            ehost, eport = await extra.start()
-            router = RouterServer(addresses, RouterConfig(replication=2))
-            rhost, rport = await router.start()
-            client = await AsyncServiceClient.connect(rhost, rport)
-
-            async def one(i: int):
-                return await client.eval(
-                    MACHINES[i % len(MACHINES)], "energy_per_flop",
-                    model="capped", intensity=1.0 + i,
-                )
-
-            try:
-                background = asyncio.gather(*(one(i) for i in range(24)))
-                report = await router.admin.add_backend(f"{ehost}:{eport}")
-                assert report["action"] == "add"
-                assert len(report["backends"]) == 3
-                values = await background
-                assert len(values) == 24
-                # And every machine still answers after the rebalance.
-                post_add = await asyncio.gather(*(one(i) for i in range(6)))
-                assert len(post_add) == 6
-
-                report = await router.admin.remove_backend(addresses[0])
-                assert report["action"] == "remove"
-                assert addresses[0] not in report["backends"]
-                assert addresses[0] not in router.ring
-                post_remove = await asyncio.gather(
-                    *(one(i) for i in range(6))
-                )
-                assert len(post_remove) == 6
-            finally:
-                await client.close()
-                await router.stop()
-                for backend in backends + [extra]:
-                    await backend.stop()
-
-        run(scenario())
-
-    def test_add_backend_moves_few_keys(self):
-        async def scenario():
-            backends, addresses = await start_backends(3)
-            extra = make_backend()
-            ehost, eport = await extra.start()
-            router = RouterServer(addresses, RouterConfig())
-            await router.start()
-            try:
-                keys = [f"machine-{i}" for i in range(600)]
-                old_ring = router.ring
-                await router.admin.add_backend(f"{ehost}:{eport}")
-                moved = old_ring.moved_keys(router.ring, keys)
-                assert 0 < len(moved) <= 0.40 * len(keys)
-                for key in moved:
-                    assert router.ring.primary(key) == f"{ehost}:{eport}"
-            finally:
-                await router.stop()
-                for backend in backends + [extra]:
-                    await backend.stop()
-
-        run(scenario())
-
-    def test_set_replication_swaps_the_ring(self):
-        async def scenario():
-            backends, addresses = await start_backends(2)
-            router = RouterServer(addresses, RouterConfig())
-            await router.start()
-            try:
-                report = await router.admin.set_replication(2)
-                assert report["replication"] == 2
-                assert router.ring.replication == 2
-                assert len(router.ring.replicas("gtx580-double")) == 2
-            finally:
-                await router.stop()
-                for backend in backends:
-                    await backend.stop()
-
-        run(scenario())
-
-    def test_cannot_remove_last_backend(self):
-        async def scenario():
-            backends, addresses = await start_backends(1)
-            router = RouterServer(addresses, RouterConfig())
-            await router.start()
-            try:
-                with pytest.raises(ValueError):
-                    await router.admin.remove_backend(addresses[0])
-            finally:
-                await router.stop()
-                for backend in backends:
-                    await backend.stop()
-
-        run(scenario())
 
 
 class TestRetryPolicy:

@@ -2,8 +2,8 @@
 
 The load-bearing assertions:
 
-* routing is a pure function of ``(shard_by, machine, model)`` — stable
-  across processes and runs, so per-shard caches stay hot;
+* routing is a pure function of the machine name — stable across
+  processes and runs, so per-shard caches stay hot;
 * identical request streams through ``workers=0``, ``1``, and ``4``
   servers produce **byte-identical** response payloads (the pool is an
   execution placement choice, never a semantic one);
@@ -35,8 +35,8 @@ from repro.service.workers import (
     WorkerCrashError,
     WorkerPool,
     _stable_shard,
-    route_key,
 )
+from repro.service.router import RouterServer
 
 MACHINES = ("gtx580-double", "i7-950-double")
 
@@ -57,15 +57,13 @@ def make_server(**overrides) -> ModelServer:
 
 class TestRouting:
     def test_route_key_machine_ignores_model(self):
-        assert route_key("machine", "m1", "energy") == "m1"
-        assert route_key("machine", "m1", None) == "m1"
-
-    def test_route_key_model_combines_both(self):
-        key = route_key("model", "m1", "energy")
-        assert key != "m1"
-        assert route_key("model", "m1", "time") != key
-        # No model component (curve, balance, …) falls back to machine.
-        assert route_key("model", "m1", None) == "m1"
+        # The router keys its ring on the machine name, the same key
+        # the server hands the pool, whatever the model.
+        router = RouterServer(["127.0.0.1:9"])
+        for model in ("energy", "time", None):
+            request = {"op": "eval", "machine": "m1", "model": model}
+            assert router.routing_key(request) == "m1"
+        assert router.routing_key({"op": "balance", "machine": "m1"}) == "m1"
 
     def test_stable_shard_is_deterministic_and_in_range(self):
         for n in (1, 2, 4, 7):
@@ -83,8 +81,6 @@ class TestRouting:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
-        with pytest.raises(ValueError):
-            WorkerPool(1, shard_by="nope")
 
 
 class TestWorkerPool:
@@ -101,19 +97,19 @@ class TestWorkerPool:
                 batch = await pool.submit(
                     "eval_batch",
                     ("gtx580-double", "energy", "energy_per_flop", grid),
-                    pool.key_for("gtx580-double", "energy"),
+                    "gtx580-double",
                 )
                 curve = await pool.submit(
                     "op",
                     ("curve", {"machine_key": "i7-950-double",
                                "kind": "roofline", "lo": 0.5, "hi": 512.0,
                                "points_per_octave": 16, "normalized": True}),
-                    pool.key_for("i7-950-double"),
+                    "i7-950-double",
                 )
                 balance = await pool.submit(
                     "op",
                     ("balance", {"machine_key": "gtx580-double"}),
-                    pool.key_for("gtx580-double"),
+                    "gtx580-double",
                 )
                 stats = pool.stats()
             finally:
@@ -292,27 +288,6 @@ class TestServerEquivalence:
 
         payloads = run(scenario())
         assert payloads[0] == payloads[1] == payloads[2]
-
-    def test_model_sharding_byte_identical_too(self):
-        async def scenario():
-            baseline = await self._drive(0)
-            server = make_server(workers=3, shard_by="model",
-                                 flush_window=0.001)
-            try:
-                sequential = [
-                    await server.handle_request(dict(body))
-                    for body in self.STREAM
-                ]
-                concurrent = await asyncio.gather(*(
-                    server.handle_request(dict(body))
-                    for body in self.STREAM
-                ))
-            finally:
-                await server.stop()
-            return baseline, canonical_json([sequential, concurrent])
-
-        baseline, sharded = run(scenario())
-        assert baseline == sharded
 
 
 class TestServerWorkerFailures:

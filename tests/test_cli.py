@@ -237,15 +237,6 @@ class TestBenchServe:
         assert "batch sizes" in out
         assert "capped/energy_per_flop" in out
 
-    def test_compare_reports_speedup(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench-serve", "--requests", "64", "--concurrency", "16",
-            "--max-batch", "8", "--compare",
-        )
-        assert code == 0
-        assert "batching disabled (max_batch=1):" in out
-        assert "micro-batching speedup:" in out
-
     def test_unknown_machine_fails_cleanly(self, capsys):
         code, _, err = run_cli(
             capsys, "bench-serve", "--requests", "8", "--concurrency", "2",
@@ -299,7 +290,6 @@ SHARED_SERVER_FLAGS = [
     ("--flush-window-ms", "0.5"),
     ("--cache-size", "7"),
     ("--workers", "2"),
-    ("--shard-by", "model"),
     ("--plan-cache-size", "0"),
     ("--admission", "cost"),
     ("--work-budget", "0.5"),
@@ -332,8 +322,8 @@ class TestSharedServerFlags:
 
 class TestBenchServeTarget:
     """``--target`` drives a server configured elsewhere: every server
-    flag and every server-side ``--compare`` is refused before any
-    connection is attempted (nothing listens on port 9 here)."""
+    flag is refused before any connection is attempted (nothing listens
+    on port 9 here)."""
 
     @pytest.mark.parametrize(
         "flags",
@@ -352,15 +342,6 @@ class TestBenchServeTarget:
         assert err.startswith("error: bench-serve --target")
         assert "could not connect" not in err
 
-    def test_compare_needs_the_binary_wire(self, capsys):
-        code, _, err = run_cli(
-            capsys, "bench-serve", "--requests", "8", "--wire", "ndjson",
-            "--target", "127.0.0.1:9", "--compare",
-        )
-        assert code == 1
-        assert "--compare needs --wire binary" in err
-        assert "could not connect" not in err
-
 
 class TestConfigErrors:
     """Configuration mistakes print one ``error:`` line, no traceback."""
@@ -369,12 +350,10 @@ class TestConfigErrors:
         "argv",
         [
             ("serve", "--port", "0", "--admission", "cost"),
-            ("bench-serve", "--requests", "8", "--open-loop", "50",
-             "--arrival", "ramp:10:20:0.5"),
             ("bench-serve", "--requests", "8", "--wire", "ndjson",
              "--target", "nonsense"),
         ],
-        ids=["cost-without-budget", "open-loop-and-arrival", "bad-target"],
+        ids=["cost-without-budget", "bad-target"],
     )
     def test_one_line_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
