@@ -335,7 +335,9 @@ class AsyncServiceClient(_RequestAPI):
     async def _read_loop(self) -> None:
         try:
             if self.wire == WIRE_BINARY:
-                await self._read_frames()
+                await wireformat.FrameReader().run(
+                    self._reader, self._on_frame
+                )
             else:
                 await self._read_lines()
         except (
@@ -366,23 +368,9 @@ class AsyncServiceClient(_RequestAPI):
             self.bytes_received += len(line)
             self._settle(decode_reply(line))
 
-    async def _read_frames(self) -> None:
-        while True:
-            try:
-                header = await self._reader.readexactly(wireformat.HEADER_SIZE)
-            except asyncio.IncompleteReadError as exc:
-                if not exc.partial:
-                    break  # clean EOF between frames
-                raise
-            kind, nsections, body_len, _seq = wireformat.parse_header(header)
-            # asyncio.timeout, not wait_for: on 3.11 wait_for wraps each
-            # read in a new Task, so only one buffered reply would settle
-            # per loop iteration and the callers' next requests would
-            # reach the server one per iteration — a batch of one each.
-            async with asyncio.timeout(wireformat.FRAME_BODY_TIMEOUT):
-                body = await self._reader.readexactly(body_len)
-            self.bytes_received += len(header) + len(body)
-            self._settle(wireformat.decode_body(kind, nsections, body))
+    def _on_frame(self, response: dict[str, Any], size: int) -> None:
+        self.bytes_received += size
+        self._settle(response)
 
     def _settle(self, response: dict[str, Any]) -> None:
         future = self._pending.pop(response.get("id"), None)

@@ -260,13 +260,7 @@ class WireFrontend:
                             )
                             break
                         continue
-                task = asyncio.ensure_future(
-                    self._answer_line(line, outbox)
-                )
-                request_tasks.add(task)
-                self._conn_tasks.add(task)
-                task.add_done_callback(request_tasks.discard)
-                task.add_done_callback(self._conn_tasks.discard)
+                self._spawn(self._answer_line(line, outbox), request_tasks)
         finally:
             if not upgraded:
                 self._wire_ndjson_conns.inc()
@@ -307,68 +301,47 @@ class WireFrontend:
         outbox: _Outbox,
         request_tasks: set[asyncio.Task],
     ) -> None:
-        """Frame-at-a-time read loop for an upgraded connection.
+        """Frame read loop for an upgraded connection.
 
         Any malformed or truncated frame gets one structured
         ``bad_frame`` error and ends the loop — the caller closes the
         connection, because a corrupt framed stream has no resync
         point.  Clean EOF *between* frames is a normal hangup.
         """
-        while True:
-            try:
-                header = await reader.readexactly(wireformat.HEADER_SIZE)
-            except asyncio.IncompleteReadError as exc:
-                if exc.partial:
-                    await self._frame_error(outbox, 0, "truncated frame header")
-                return
-            except (ConnectionError, OSError):
-                return
-            seq = 0
-            try:
-                kind, nsections, body_len, seq = wireformat.parse_header(
-                    header
-                )
-                # asyncio.timeout (not wait_for): an already-buffered
-                # body completes without yielding to the loop, so a
-                # burst of frames reaches the micro-batcher as one
-                # wave instead of flushing partial batches between
-                # per-frame suspensions.  The deadline still fires on
-                # a peer that stalls mid-body.
-                async with asyncio.timeout(wireformat.FRAME_BODY_TIMEOUT):
-                    body = await reader.readexactly(body_len)
-                # Request grids stay float64 arrays: the pipeline
-                # wants an array, and a list would only be converted back.
-                request = wireformat.decode_body(
-                    kind, nsections, body, lists=False
-                )
-            except ServiceError as exc:
-                await self._frame_error(outbox, seq, exc.message)
-                return
-            except (
-                asyncio.IncompleteReadError,
-                asyncio.TimeoutError,
-                TimeoutError,
-            ):
-                await self._frame_error(outbox, seq, "truncated frame body")
-                return
-            except (ConnectionError, OSError):
-                return
-            task = asyncio.ensure_future(
-                self._answer_frame(request, outbox)
+        frames = wireformat.FrameReader()
+        try:
+            # Request grids stay float64 arrays: the pipeline wants an
+            # array, and a list would only be converted back.
+            await frames.run(
+                reader,
+                lambda request, _size: self._spawn(
+                    self._answer_frame(request, outbox), request_tasks
+                ),
+                lists=False,
             )
-            request_tasks.add(task)
-            self._conn_tasks.add(task)
-            task.add_done_callback(request_tasks.discard)
-            task.add_done_callback(self._conn_tasks.discard)
-
-    async def _frame_error(
-        self, outbox: _Outbox, seq: int, message: str
-    ) -> None:
+            return
+        except ServiceError as exc:
+            message = exc.message
+        except (asyncio.IncompleteReadError, TimeoutError):
+            part = "header" if frames.seq is None else "body"
+            message = f"truncated frame {part}"
+        except (ConnectionError, OSError):
+            return
         self._frontend_errors.inc()
         envelope = error_response(None, wireformat.BAD_FRAME, message)
         await outbox.send(
-            wireformat.encode_frame(wireformat.KIND_RESPONSE, seq, envelope)
+            wireformat.encode_frame(
+                wireformat.KIND_RESPONSE, frames.seq or 0, envelope
+            )
         )
+
+    def _spawn(self, answer: Any, request_tasks: set[asyncio.Task]) -> None:
+        """Run one request's ``answer`` coroutine as its own task."""
+        task = asyncio.ensure_future(answer)
+        request_tasks.add(task)
+        self._conn_tasks.add(task)
+        task.add_done_callback(request_tasks.discard)
+        task.add_done_callback(self._conn_tasks.discard)
 
     async def _line_error(self, outbox: _Outbox) -> None:
         """Answer an NDJSON line too long to read as :func:`decode`

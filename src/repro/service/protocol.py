@@ -186,7 +186,7 @@ class RawJSON:
     @classmethod
     def of(cls, value: Any) -> "RawJSON":
         """The encoding of ``value``."""
-        return cls(json.dumps(value, separators=(",", ":")).encode("utf-8"))
+        return cls(_COMPACT.encode(value).encode("utf-8"))
 
     def value(self) -> Any:
         """The decoded result; ``internal`` error if it is not JSON."""
@@ -205,6 +205,11 @@ def _as_list(value: Any) -> Any:
     )
 
 
+# Built once: ``json.dumps`` with any argument makes a new encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_COMPACT_ARRAYS = json.JSONEncoder(separators=(",", ":"), default=_as_list)
+
+
 def encode(payload: dict[str, Any]) -> bytes:
     """One protocol line: compact JSON plus the newline terminator.
 
@@ -217,16 +222,12 @@ def encode(payload: dict[str, Any]) -> bytes:
         fields = [
             json.dumps(key).encode("utf-8") + b":" + (
                 result.data if key == "result"
-                else json.dumps(
-                    value, separators=(",", ":"), default=_as_list
-                ).encode("utf-8")
+                else _COMPACT_ARRAYS.encode(value).encode("utf-8")
             )
             for key, value in payload.items()
         ]
         return b"{" + b",".join(fields) + b"}\n"
-    return json.dumps(
-        payload, separators=(",", ":"), default=_as_list
-    ).encode("utf-8") + b"\n"
+    return _COMPACT_ARRAYS.encode(payload).encode("utf-8") + b"\n"
 
 
 def decode(

@@ -63,9 +63,10 @@ and close the connection rather than resynchronise a corrupt stream.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -86,6 +87,7 @@ __all__ = [
     "encode_frame",
     "parse_header",
     "decode_body",
+    "FrameReader",
     "hello_request",
     "negotiated_wire",
 ]
@@ -133,6 +135,9 @@ _RESPONSE_ARRAY_FIELDS = ("intensities", "values")
 
 #: The element types of a liftable list.
 _FLOAT_ONLY = frozenset({float})
+
+#: Built once: ``json.dumps`` with any argument makes a new encoder per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def hello_request(request_id: Any = 0) -> dict[str, Any]:
@@ -221,7 +226,7 @@ def encode_frame(
             payload = {**payload, "result": lifted}
         else:
             payload = lifted
-    blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    blob = _COMPACT.encode(payload).encode("utf-8")
     parts = [
         _SECTION.pack(_SECTION_JSON, _DTYPE_NONE, 0, len(blob)),
         blob,
@@ -348,3 +353,62 @@ def decode_body(
         for name, values in arrays:
             target[name] = values
     return payload
+
+
+class FrameReader:
+    """One stream's binary frames, read through one buffer.
+
+    Every complete frame a read brings is delivered before the next
+    read, so a burst reaches the consumer as one wave.  A body's
+    ``FRAME_BODY_TIMEOUT`` deadline is fixed when its header completes
+    and armed only while the body is incomplete.  Errors are a
+    ``bad_frame`` :class:`~repro.exceptions.ServiceError`,
+    :class:`asyncio.IncompleteReadError` (EOF inside a frame) and
+    :class:`TimeoutError` (a late body).
+    """
+
+    #: The ``seq`` of the frame whose header has been parsed and whose
+    #: body is not yet delivered; ``None`` between frames.
+    seq: int | None = None
+
+    async def run(
+        self,
+        reader: asyncio.StreamReader,
+        deliver: Callable[[dict[str, Any], int], None],
+        *,
+        lists: bool = True,
+    ) -> None:
+        """``deliver(envelope, frame_bytes)`` each frame until EOF."""
+        buffer = bytearray()
+        loop = asyncio.get_running_loop()
+        body_len = -1  # of the frame whose body is awaited
+        while True:
+            start = 0
+            while True:
+                if body_len < 0:
+                    if len(buffer) - start < HEADER_SIZE:
+                        break
+                    kind, nsections, body_len, self.seq = parse_header(
+                        buffer[start : start + HEADER_SIZE]
+                    )
+                    start += HEADER_SIZE
+                    deadline = loop.time() + FRAME_BODY_TIMEOUT
+                end = start + body_len
+                if len(buffer) < end:
+                    break
+                with memoryview(buffer) as view:
+                    body = view[start:end].tobytes()
+                envelope = decode_body(kind, nsections, body, lists=lists)
+                deliver(envelope, HEADER_SIZE + body_len)
+                self.seq, body_len, start = None, -1, end
+            del buffer[:start]
+            if body_len < 0:
+                chunk = await reader.read(MAX_FRAME_BYTES)
+            else:
+                async with asyncio.timeout_at(deadline):
+                    chunk = await reader.read(MAX_FRAME_BYTES)
+            if not chunk:
+                if body_len < 0 and not buffer:
+                    return
+                raise asyncio.IncompleteReadError(bytes(buffer), None)
+            buffer += chunk
