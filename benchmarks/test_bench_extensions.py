@@ -1,7 +1,7 @@
 """Benchmarks for the extension layers (beyond the paper's evaluation).
 
 These time the machinery the library adds on top of the reproduction —
-DVFS optimisation, heterogeneous partitioning, bootstrap fitting — and
+DVFS optimisation and bootstrap fitting — and
 record their headline analytic results as ``extra_info``.
 """
 
@@ -13,9 +13,7 @@ from repro.analysis.bootstrap import bootstrap_fit
 from repro.core.algorithm import AlgorithmProfile
 from repro.core.dvfs import DvfsMachine, DvfsPolicy
 from repro.core.fitting import EnergySample
-from repro.machines.catalog import gtx580_single, i7_950_double, i7_950_single
-from repro.scheduler import Device, HeterogeneousScheduler
-from repro.workloads import fmm_pipeline
+from repro.machines.catalog import i7_950_double
 
 
 def test_dvfs_optimal_setting_search(benchmark):
@@ -32,25 +30,6 @@ def test_dvfs_optimal_setting_search(benchmark):
         }
     )
     assert best.s < 1.0  # crawling wins for this gated, memory-bound case
-
-
-def test_scheduler_pareto_frontier(benchmark):
-    """Dense Pareto sweep of a two-device partition."""
-    scheduler = HeterogeneousScheduler(
-        Device("gpu", gtx580_single().with_power_cap(None)),
-        Device("cpu", i7_950_single()),
-    )
-    workload = AlgorithmProfile.from_intensity(2.0, work=1e12)
-
-    frontier = benchmark(scheduler.pareto_frontier, workload, grid=401)
-    benchmark.extra_info.update(
-        {
-            "frontier_points": len(frontier),
-            "fastest_alpha": round(frontier[0].alpha, 3),
-            "greenest_alpha": round(frontier[-1].alpha, 3),
-        }
-    )
-    assert len(frontier) >= 2
 
 
 def test_bootstrap_fit_throughput(benchmark):
@@ -85,18 +64,3 @@ def test_bootstrap_fit_throughput(benchmark):
     )
     assert result.eps_mem.contains(513e-12)
 
-
-def test_application_phase_analysis(benchmark):
-    """Whole-application cost breakdown (FMM pipeline, 1M points)."""
-    gpu = gtx580_single().with_power_cap(None)
-    app = fmm_pipeline(1_000_000, leaf_size=128)
-
-    report = benchmark(app.report, gpu)
-    benchmark.extra_info.update(
-        {
-            "phases": len(report),
-            "time_bottleneck": app.time_bottleneck(gpu).name,
-            "energy_bottleneck": app.energy_bottleneck(gpu).name,
-        }
-    )
-    assert abs(sum(r.time_fraction for r in report) - 1.0) < 1e-9

@@ -24,12 +24,6 @@ from repro import machines
 from repro.core.algorithm import AlgorithmProfile
 from repro.core.balance import BalanceReport, BoundQuadrant, analyze, classify_quadrant
 from repro.core.energy_model import EnergyBreakdown, EnergyModel
-from repro.core.multilevel import (
-    HierarchicalProfile,
-    MemoryHierarchy,
-    MemoryLevel,
-    MultiLevelEnergyModel,
-)
 from repro.core.params import MachineModel
 from repro.core.power_model import PowerModel
 from repro.core.powercap import CapAnalysis, CappedModel
@@ -48,17 +42,7 @@ from repro.core.tradeoff import (
     greenup_threshold_work,
     greenup_work_ceiling,
 )
-from repro.core.workdepth import DepthProfile, WorkDepthTimeModel
-from repro.core.ceilings import Ceiling, CeilingDiagnosis, RooflineCeilings
-from repro.core.concurrency import ConcurrencyModel, MemorySubsystem
 from repro.core.dvfs import DvfsMachine, DvfsPolicy, OperatingPoint
-from repro.core.metrics import FusedMetrics, MetricPoint, edp, ed2p, generalized_edp
-from repro.core.precision import MixedPrecisionAnalyzer, PrecisionOutcome
-from repro.core.sensitivity import (
-    EnergySensitivity,
-    energy_sensitivity,
-    whatif_pi0_zero,
-)
 
 __version__ = "1.0.0"
 
@@ -77,8 +61,6 @@ __all__ = [
     "PowerModel",
     "CappedModel",
     "CapAnalysis",
-    "WorkDepthTimeModel",
-    "DepthProfile",
     # balance analysis
     "BalanceReport",
     "BoundQuadrant",
@@ -101,35 +83,10 @@ __all__ = [
     "FittedCoefficients",
     "fit_energy_coefficients",
     "fit_cache_energy",
-    # multi-level memory
-    "MemoryLevel",
-    "MemoryHierarchy",
-    "HierarchicalProfile",
-    "MultiLevelEnergyModel",
     # DVFS
     "DvfsMachine",
     "DvfsPolicy",
     "OperatingPoint",
-    # fused metrics
-    "FusedMetrics",
-    "MetricPoint",
-    "edp",
-    "ed2p",
-    "generalized_edp",
-    # sensitivity
-    "EnergySensitivity",
-    "energy_sensitivity",
-    "whatif_pi0_zero",
-    # ceilings
-    "Ceiling",
-    "CeilingDiagnosis",
-    "RooflineCeilings",
-    # concurrency / latency refinement
-    "ConcurrencyModel",
-    "MemorySubsystem",
-    # mixed precision
-    "MixedPrecisionAnalyzer",
-    "PrecisionOutcome",
 ]
 
 # The fitting names load ``repro.core.fitting`` (and with it

@@ -17,15 +17,9 @@ Subcommands
 ``tradeoff MACHINE``
     Greenup thresholds for a work–communication trade at a baseline
     intensity.
-``partition MACHINE_A MACHINE_B``
-    Time- vs energy-optimal splits of a divisible workload across two
-    devices.
 ``dvfs MACHINE``
     Frequency sweep and the energy-optimal operating point for a
     workload intensity.
-``app NAME MACHINE``
-    Per-phase cost table for a library application (cg, fmm,
-    fft-poisson, jacobi).
 ``serve``
     Long-lived async model server (NDJSON over TCP, with negotiated
     binary framing — ``--wire``) with micro-batching, response
@@ -200,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes: parallelises across experiments and, "
-             "inside sweep experiments, across device-precision panels",
+        help="worker processes for the sweep experiments' "
+             "device-precision panels (experiments run in order)",
     )
     p_run.add_argument(
         "--cache-dir", type=Path, metavar="DIR",
@@ -225,46 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--m", type=float, nargs="+", default=[2.0, 4.0, 8.0], dest="m_values"
     )
 
-    p_part = sub.add_parser(
-        "partition", help="split a divisible workload across two devices"
-    )
-    p_part.add_argument("machine_a")
-    p_part.add_argument("machine_b")
-    p_part.add_argument("--intensity", type=float, required=True)
-    p_part.add_argument("--work", type=float, default=1e12)
-    p_part.add_argument(
-        "--idle-policy", choices=("halt", "idle"), default="halt"
-    )
-
     p_dvfs = sub.add_parser("dvfs", help="frequency-scaling analysis")
     p_dvfs.add_argument("machine")
     p_dvfs.add_argument("--intensity", type=float, required=True)
     p_dvfs.add_argument("--static-fraction", type=float, default=0.5)
     p_dvfs.add_argument("--steps", type=int, default=7)
-
-    p_scale = sub.add_parser(
-        "scaling", help="distributed strong-scaling time/energy analysis"
-    )
-    p_scale.add_argument("machine", help="node machine (catalog key)")
-    p_scale.add_argument(
-        "workload", choices=("summa", "stencil", "allreduce")
-    )
-    p_scale.add_argument("--size", type=int, default=4096)
-    p_scale.add_argument("--net-gbytes", type=float, default=4.0,
-                         help="per-node network bandwidth (GB/s)")
-    p_scale.add_argument("--eps-net", type=float, default=1000.0,
-                         help="network energy (pJ/B)")
-    p_scale.add_argument(
-        "--nodes", type=int, nargs="+", default=[1, 4, 16, 64, 256]
-    )
-
-    p_app = sub.add_parser("app", help="phase-level application analysis")
-    p_app.add_argument(
-        "name", choices=("cg", "fmm", "fft-poisson", "jacobi")
-    )
-    p_app.add_argument("machine")
-    p_app.add_argument("--size", type=int, default=None,
-                       help="problem size (app-specific default)")
 
     p_serve = sub.add_parser(
         "serve", help="run the async model-serving daemon (NDJSON over TCP)"
@@ -648,20 +607,6 @@ def _cmd_tradeoff(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_partition(args: argparse.Namespace) -> str:
-    from repro.scheduler import Device, HeterogeneousScheduler, IdlePolicy
-
-    scheduler = HeterogeneousScheduler(
-        Device(args.machine_a, get_machine(args.machine_a)),
-        Device(args.machine_b, get_machine(args.machine_b)),
-        idle_policy=IdlePolicy(args.idle_policy),
-    )
-    workload = AlgorithmProfile.from_intensity(
-        args.intensity, work=args.work, name="workload"
-    )
-    return scheduler.summary(workload)
-
-
 def _cmd_dvfs(args: argparse.Namespace) -> str:
     from repro.core.dvfs import DvfsMachine, DvfsPolicy
 
@@ -684,61 +629,6 @@ def _cmd_dvfs(args: argparse.Namespace) -> str:
     verdict = "race-to-halt" if dvfs.race_to_halt_wins(profile) else "crawl"
     lines.append(
         f"energy-optimal s = {best.s:.3f} ({best.energy:.4g} J) -> {verdict}"
-    )
-    return "\n".join(lines)
-
-
-def _cmd_scaling(args: argparse.Namespace) -> str:
-    from repro.cluster import (
-        ClusterModel,
-        allreduce_workload,
-        stencil_halo_workload,
-        summa_matmul_workload,
-    )
-
-    builders = {
-        "summa": summa_matmul_workload,
-        "stencil": stencil_halo_workload,
-        "allreduce": allreduce_workload,
-    }
-    workload = builders[args.workload](args.size)
-    cluster = ClusterModel(
-        get_machine(args.machine),
-        net_bandwidth=units.gbytes_to_bytes_per_second(args.net_gbytes),
-        eps_net=units.picojoules(args.eps_net),
-    )
-    lines = [cluster.describe_scaling(workload, args.nodes)]
-    limit = cluster.energy_flat_limit(workload)
-    lines.append(
-        f"energy-flat (within 10%) up to p = {limit}"
-        if limit < cluster.max_nodes
-        else "energy-flat beyond the search limit"
-    )
-    return "\n".join(lines)
-
-
-def _cmd_app(args: argparse.Namespace) -> str:
-    from repro.workloads import (
-        cg_solver,
-        fft_poisson_solver,
-        fmm_pipeline,
-        jacobi_heat_solver,
-    )
-
-    builders = {
-        "cg": lambda n: cg_solver(n or 1_000_000),
-        "fmm": lambda n: fmm_pipeline(n or 200_000),
-        "fft-poisson": lambda n: fft_poisson_solver(n or (1 << 20)),
-        "jacobi": lambda n: jacobi_heat_solver(n or 128),
-    }
-    app = builders[args.name](args.size)
-    machine = get_machine(args.machine)
-    lines = [app.describe(machine)]
-    tb = app.time_bottleneck(machine)
-    eb = app.energy_bottleneck(machine)
-    lines.append(
-        f"time bottleneck: {tb.name} ({tb.time_fraction:.0%}); "
-        f"energy bottleneck: {eb.name} ({eb.energy_fraction:.0%})"
     )
     return "\n".join(lines)
 
@@ -1156,14 +1046,8 @@ def main(argv: list[str] | None = None) -> int:
             output = _cmd_fit(args.csv)
         elif args.command == "tradeoff":
             output = _cmd_tradeoff(args)
-        elif args.command == "partition":
-            output = _cmd_partition(args)
         elif args.command == "dvfs":
             output = _cmd_dvfs(args)
-        elif args.command == "scaling":
-            output = _cmd_scaling(args)
-        elif args.command == "app":
-            output = _cmd_app(args)
         elif args.command == "serve":
             output = _cmd_serve(args)
         elif args.command == "route":

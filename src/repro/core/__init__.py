@@ -14,8 +14,6 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.tradeoff` — eq. (10), work–communication trade-offs.
 * :mod:`repro.core.fitting` — eq. (9), coefficient fitting from measurements.
 * :mod:`repro.core.powercap` — §V-B extension: explicit power caps.
-* :mod:`repro.core.multilevel` — §V-C extension: multi-level memory energy.
-* :mod:`repro.core.workdepth` — latency-aware (work-depth) time refinement.
 """
 
 from repro.core.algorithm import AlgorithmProfile

@@ -78,8 +78,7 @@ class TimeModel:
 
     The model assumes throughput cost constants and perfect overlap — a
     best-case analysis valid when the algorithm exposes enough concurrency
-    (§II-B).  Use :class:`repro.core.workdepth.WorkDepthTimeModel` when
-    latency/critical-path effects matter.
+    (§II-B); latency and critical-path effects are out of its scope.
     """
 
     def __init__(self, machine: MachineModel):

@@ -1,4 +1,4 @@
-"""Parallel, cached execution of registry experiments.
+"""Cached execution of registry experiments.
 
 The reproduction's experiments are deterministic functions of (a) the
 machine catalog's cost coefficients, (b) the sweep configuration passed
@@ -9,10 +9,12 @@ run with the same hash can be replayed from disk instead of recomputed.
 :class:`ExperimentRunner` adds two production conveniences on top of the
 registry:
 
-* **Parallelism** — ``jobs > 1`` fans independent experiments out across
-  a :class:`~concurrent.futures.ProcessPoolExecutor`, and passes the job
-  count down to experiments whose signature accepts ``jobs`` (the
-  sweep-based ones parallelise their four device-precision panels).
+* **Parallelism** — ``jobs > 1`` is passed down to experiments whose
+  signature accepts ``jobs`` (the sweep-based ones parallelise their four
+  device-precision panels).  Experiments themselves run one after
+  another: a process pool across experiments lost to this serial order
+  on two cores, since most experiments finish faster than a worker
+  process starts.
 * **On-disk result cache** — ``cache_dir`` stores each
   :class:`~repro.experiments.registry.ExperimentResult` as JSON under
   its content hash; cache hits skip the measurement campaign entirely.
@@ -26,7 +28,6 @@ import inspect
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -81,12 +82,6 @@ def cache_key(experiment_id: str, kwargs: dict[str, Any] | None = None) -> str:
     return content_hash(payload)
 
 
-def _run_task(item: tuple[str, dict[str, Any]]) -> ExperimentResult:
-    """Worker-process entry point: run one experiment from its spec."""
-    experiment_id, kwargs = item
-    return run_experiment(experiment_id, **kwargs)
-
-
 def _accepts_jobs(experiment_id: str) -> bool:
     params = inspect.signature(get_experiment(experiment_id)).parameters
     return "jobs" in params
@@ -117,10 +112,9 @@ class ExperimentRunner:
     Parameters
     ----------
     jobs:
-        Worker-process budget.  ``1`` (default) runs everything in this
-        process; higher values parallelise across experiments in
-        :meth:`run_many` and across sweep panels inside a single
-        ``jobs``-aware experiment in :meth:`run`.
+        Worker-process budget forwarded to ``jobs``-aware experiments,
+        which spread their sweep panels across that many processes.
+        ``1`` (default) runs everything in this process.
     cache_dir:
         Directory for the content-addressed result cache; created on
         first use.  ``None`` disables caching.
@@ -216,45 +210,11 @@ class ExperimentRunner:
         experiment_ids: Sequence[str] | Iterable[str],
         **kwargs: Any,
     ) -> list[ExperimentResult]:
-        """Run several experiments, in registry-id input order.
+        """Run several experiments, in input order, through :meth:`run`.
 
-        Cache hits resolve immediately; misses execute across the worker
-        pool when ``jobs > 1``, each worker re-validating its experiment
-        id before anything is spawned.
+        Every id is validated before anything runs.
         """
         ids = list(experiment_ids)
         for experiment_id in ids:
             get_experiment(experiment_id)  # fail fast on unknown ids
-
-        results: dict[int, ExperimentResult] = {}
-        misses: list[tuple[int, str, dict[str, Any]]] = []
-        for index, experiment_id in enumerate(ids):
-            supported = _supported_kwargs(experiment_id, kwargs)
-            cached = self.cache_lookup(experiment_id, supported)
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append((index, experiment_id, supported))
-
-        if len(misses) == 1:
-            # A single miss gains nothing from a one-worker pool; run it
-            # inline so a jobs-aware experiment can parallelise its panels.
-            index, experiment_id, supported = misses[0]
-            results[index] = self.run(experiment_id, **supported)
-        elif misses and self.jobs > 1:
-            specs = [
-                (experiment_id, supported)
-                for _, experiment_id, supported in misses
-            ]
-            workers = min(self.jobs, len(misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (index, _, supported), result in zip(
-                    misses, pool.map(_run_task, specs)
-                ):
-                    results[index] = result
-                    self.cache_store(result, supported)
-        else:
-            for index, experiment_id, supported in misses:
-                results[index] = self.run(experiment_id, **supported)
-
-        return [results[i] for i in range(len(ids))]
+        return [self.run(experiment_id, **kwargs) for experiment_id in ids]

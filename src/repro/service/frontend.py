@@ -9,7 +9,8 @@ framing of :mod:`repro.service.wire` after a first-request ``hello``
 negotiation, per-request answer tasks so a slow request never
 head-of-line-blocks the connection, one socket write per loop
 iteration for every reply that iteration produced, and one structured
-``bad_frame`` error before closing a corrupt framed stream.
+``bad_frame`` error before closing a corrupt framed stream, delivered
+ahead of the close rather than lost to a TCP reset.
 
 :class:`WireFrontend` is that surface, factored out once.  A subclass
 provides the request pipeline (:meth:`handle_request`) and the
@@ -43,6 +44,13 @@ from repro.service.protocol import (
 )
 
 __all__ = ["WireFrontend", "sniff_hello"]
+
+#: Seconds a connection cut off after an error reply keeps discarding
+#: the peer's input, half-closed, before it closes.  Closing a socket
+#: with unread input sends a TCP reset, which can destroy the reply
+#: before the peer reads it; the bound stops a peer that never stops
+#: sending from holding the connection.
+ERROR_LINGER = 1.0
 
 
 class _Outbox:
@@ -79,6 +87,19 @@ class _Outbox:
         """Write what is queued, then hang up."""
         self.flush()
         self._writer.close()
+
+    async def hang_up(self, reader: asyncio.StreamReader) -> None:
+        """Write what is queued and half-close, then discard the peer's
+        input until its EOF or :data:`ERROR_LINGER` seconds, so the
+        :meth:`close` that follows sends no reset."""
+        self.flush()
+        try:
+            self._writer.write_eof()
+            async with asyncio.timeout(ERROR_LINGER):
+                while await reader.read(65536):
+                    pass
+        except (ConnectionError, OSError, TimeoutError):
+            pass
 
     async def send(self, payload: bytes) -> bool:
         """Queue ``payload`` for this iteration's write; False once the
@@ -232,6 +253,7 @@ class WireFrontend:
         request_tasks: set[asyncio.Task] = set()
         self.metrics.counter("connections_total").inc()
         upgraded = False
+        cut_off = False
         first = True
         try:
             while True:
@@ -241,6 +263,7 @@ class WireFrontend:
                     # Over the read limit: the rest of the line is still
                     # unread, so there is no next line to resync on.
                     await self._line_error(outbox)
+                    cut_off = True
                     break
                 except (ConnectionError, asyncio.LimitOverrunError):
                     break
@@ -255,7 +278,7 @@ class WireFrontend:
                         upgraded = await self._negotiate(hello, outbox)
                         if upgraded:
                             self._wire_binary_conns.inc()
-                            await self._binary_loop(
+                            cut_off = await self._binary_loop(
                                 reader, outbox, request_tasks
                             )
                             break
@@ -266,6 +289,8 @@ class WireFrontend:
                 self._wire_ndjson_conns.inc()
             if request_tasks:
                 await asyncio.gather(*request_tasks, return_exceptions=True)
+            if cut_off:
+                await outbox.hang_up(reader)
             outbox.close()
             try:
                 await writer.wait_closed()
@@ -300,8 +325,9 @@ class WireFrontend:
         reader: asyncio.StreamReader,
         outbox: _Outbox,
         request_tasks: set[asyncio.Task],
-    ) -> None:
-        """Frame read loop for an upgraded connection.
+    ) -> bool:
+        """Frame read loop for an upgraded connection; returns whether
+        it ended on a ``bad_frame`` error.
 
         Any malformed or truncated frame gets one structured
         ``bad_frame`` error and ends the loop — the caller closes the
@@ -319,14 +345,14 @@ class WireFrontend:
                 ),
                 lists=False,
             )
-            return
+            return False
         except ServiceError as exc:
             message = exc.message
         except (asyncio.IncompleteReadError, TimeoutError):
             part = "header" if frames.seq is None else "body"
             message = f"truncated frame {part}"
         except (ConnectionError, OSError):
-            return
+            return False
         self._frontend_errors.inc()
         envelope = error_response(None, wireformat.BAD_FRAME, message)
         await outbox.send(
@@ -334,6 +360,7 @@ class WireFrontend:
                 wireformat.KIND_RESPONSE, frames.seq or 0, envelope
             )
         )
+        return True
 
     def _spawn(self, answer: Any, request_tasks: set[asyncio.Task]) -> None:
         """Run one request's ``answer`` coroutine as its own task."""

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.ceilings import Ceiling, RooflineCeilings
 from repro.core.energy_model import EnergyModel
 from repro.core.params import (
     MachineModel,
@@ -186,31 +185,6 @@ class TestCappedModelBatch:
         grid = random_grid()
         assert_matches_scalar(
             getattr(capped, batch_name)(grid), getattr(capped, scalar_name), grid
-        )
-
-
-class TestCeilingsBatch:
-    def test_attainable_fraction(self, cpu_double):
-        stack = RooflineCeilings.classic_cpu(cpu_double)
-        grid = random_grid()
-        assert_matches_scalar(
-            stack.attainable_fraction_batch(grid), stack.attainable_fraction, grid
-        )
-        for ceiling in stack.ceilings:
-            assert_matches_scalar(
-                stack.attainable_fraction_batch(grid, ceiling),
-                lambda x, c=ceiling: stack.attainable_fraction(x, c),
-                grid,
-            )
-
-    def test_energy_penalty_fraction(self, gpu_double):
-        stack = RooflineCeilings(gpu_double, [Ceiling("no-SIMD", compute_fraction=0.25)])
-        ceiling = stack.ceilings[0]
-        grid = random_grid()
-        assert_matches_scalar(
-            stack.energy_penalty_fraction_batch(grid, ceiling),
-            lambda x: stack.energy_penalty_fraction(x, ceiling),
-            grid,
         )
 
 

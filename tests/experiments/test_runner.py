@@ -1,8 +1,9 @@
-"""ExperimentRunner: content-addressed caching and parallel execution."""
+"""ExperimentRunner: content-addressed caching and jobs forwarding."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -149,6 +150,27 @@ class TestJobsForwarding:
         serial = ExperimentRunner().run("fmm", **kwargs)
         assert seen == [kwargs, kwargs]
         assert parallel == serial
+
+    def test_run_many_forwards_jobs_in_this_process(self, monkeypatch):
+        """``run_many`` runs each miss here, in order, with the job budget
+        for the panel-parallel sweeps, not inside a pool across
+        experiments."""
+        import repro.experiments.registry as registry
+
+        seen = []
+        real = registry.run_experiment
+
+        def spy(experiment_id, **kwargs):
+            seen.append((experiment_id, kwargs, os.getpid()))
+            return real(experiment_id, **kwargs)
+
+        monkeypatch.setattr("repro.experiments.runner.run_experiment", spy)
+        ExperimentRunner(jobs=2).run_many(
+            ["fig4", "fig5"], points_per_octave=1
+        )
+        call = {"points_per_octave": 1, "jobs": 2}
+        pid = os.getpid()
+        assert seen == [("fig4", call, pid), ("fig5", call, pid)]
 
 
 class TestValidation:

@@ -54,12 +54,16 @@ class CapturingWriter:
     def __init__(self) -> None:
         self.data = bytearray()
         self.closed = False
+        self.eof_at: float | None = None
 
     def write(self, data: bytes) -> None:
         self.data += data
 
     async def drain(self) -> None:
         pass
+
+    def write_eof(self) -> None:
+        self.eof_at = time.perf_counter()
 
     def close(self) -> None:
         self.closed = True
@@ -318,7 +322,9 @@ class TestClientSplits:
 class TestBodyDeadline:
     def test_trickled_body_times_out_from_its_header(self, monkeypatch):
         """One byte every 0.05 s never completes a 64-byte body in
-        time; a deadline re-armed per read would never fire."""
+        time; a deadline re-armed per read would never fire.  The reply
+        is timed at the half-close that follows it: the handler itself
+        then discards the still-trickling input for ``ERROR_LINGER``."""
         monkeypatch.setattr(wireformat, "FRAME_BODY_TIMEOUT", 0.2)
 
         async def trickle(reader):
@@ -339,7 +345,7 @@ class TestBodyDeadline:
             reader.feed_data(_header(body_len=64, seq=17))
             trickler = asyncio.ensure_future(trickle(reader))
             await asyncio.wait_for(handler, timeout=5)
-            elapsed = time.perf_counter() - started
+            elapsed = writer.eof_at - started
             trickler.cancel()
             await server.stop()
             data = bytes(writer.data)

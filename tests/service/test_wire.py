@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -36,8 +37,11 @@ from repro._canon import canonical_json
 from repro.exceptions import ServiceError
 from repro.service import wire as wireformat
 from repro.service.client import AsyncServiceClient
+from repro.service import frontend
 from repro.service.protocol import (
     BAD_FRAME,
+    BAD_REQUEST,
+    MAX_LINE_BYTES,
     UNKNOWN_OP,
     decode,
     encode,
@@ -530,6 +534,105 @@ class TestCorruptFrames:
                 await client.close()
 
         run(scenario())
+
+
+async def keep_sending(writer):
+    """Write until the connection breaks (a peer that never stops)."""
+    try:
+        while True:
+            writer.write(b"z" * 65536)
+            await writer.drain()
+            await asyncio.sleep(0.005)
+    except (ConnectionError, OSError):
+        pass
+
+
+class TestErrorReplyBeforeHangup:
+    """A connection cut off for a protocol error half-closes and
+    discards the peer's input before it closes: closing over unread
+    input would send a TCP reset, and the peer would get
+    ``ConnectionResetError`` instead of the error reply."""
+
+    def test_peer_still_sending_reads_the_bad_frame(self):
+        async def scenario():
+            server = await start_server()
+            reader, writer = await upgraded_raw_connection(server)
+            writer.write(b"Y" * HEADER_SIZE)
+            sender = asyncio.create_task(keep_sending(writer))
+            await asyncio.sleep(0.1)  # the server answers while we send
+            try:
+                return await asyncio.wait_for(read_frame(reader), timeout=5)
+            finally:
+                sender.cancel()
+                writer.close()
+                await server.stop()
+
+        response = run(scenario())
+        assert response["error"]["code"] == BAD_FRAME
+        assert "magic" in response["error"]["message"]
+
+    def test_peer_still_sending_past_the_line_limit_reads_bad_request(self):
+        async def scenario():
+            server = await start_server()
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b'{"op":"stats","pad":"' + b"x" * MAX_LINE_BYTES)
+            sender = asyncio.create_task(keep_sending(writer))
+            await asyncio.sleep(0.1)
+            try:
+                line = await asyncio.wait_for(reader.readline(), timeout=5)
+            finally:
+                sender.cancel()
+                writer.close()
+                await server.stop()
+            return decode(line)
+
+        response = run(scenario())
+        assert response["error"] == {
+            "code": BAD_REQUEST,
+            "message": f"line exceeds {MAX_LINE_BYTES} bytes",
+        }
+
+    def test_endless_sender_is_dropped_after_the_linger(self, monkeypatch):
+        monkeypatch.setattr(frontend, "ERROR_LINGER", 0.2)
+
+        async def scenario():
+            server = await start_server()
+            reader, writer = await upgraded_raw_connection(server)
+            writer.write(b"Y" * HEADER_SIZE)
+            started = time.monotonic()
+            try:
+                response = await asyncio.wait_for(read_frame(reader), timeout=5)
+                # keep_sending returns once the server hangs up.
+                await asyncio.wait_for(keep_sending(writer), timeout=5)
+                return response, time.monotonic() - started
+            finally:
+                writer.close()
+                await server.stop()
+
+        response, elapsed = run(scenario())
+        assert response["error"]["code"] == BAD_FRAME
+        assert elapsed < 5
+
+    def test_stop_is_not_delayed_by_a_lingering_connection(self, monkeypatch):
+        monkeypatch.setattr(frontend, "ERROR_LINGER", 60.0)
+
+        async def scenario():
+            server = await start_server()
+            reader, writer = await upgraded_raw_connection(server)
+            writer.write(b"Y" * HEADER_SIZE)
+            response = await asyncio.wait_for(read_frame(reader), timeout=5)
+            sender = asyncio.create_task(keep_sending(writer))
+            await asyncio.sleep(0.1)  # the connection is lingering now
+            started = time.monotonic()
+            await asyncio.wait_for(server.stop(), timeout=10)
+            elapsed = time.monotonic() - started
+            await asyncio.wait_for(sender, timeout=5)
+            writer.close()
+            return response, elapsed
+
+        response, elapsed = run(scenario())
+        assert response["error"]["code"] == BAD_FRAME
+        assert elapsed < 5
 
 
 # ---------------------------------------------------------------------------

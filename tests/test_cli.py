@@ -373,3 +373,10 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("verb", ["partition", "scaling", "app"])
+    def test_removed_verbs_are_usage_errors(self, capsys, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "gtx580-single", "i7-950-single"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

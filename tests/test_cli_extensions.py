@@ -1,8 +1,6 @@
-"""CLI subcommands for the extension layers (partition, dvfs, app)."""
+"""The ``dvfs`` CLI subcommand."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cli import main
 
@@ -11,31 +9,6 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestPartition:
-    def test_summary(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "partition", "gtx580-single", "i7-950-single",
-            "--intensity", "2.0",
-        )
-        assert code == 0
-        assert "time-optimal" in out and "energy-optimal" in out
-
-    def test_idle_policy_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "partition", "gtx580-single", "i7-950-single",
-            "--intensity", "2.0", "--idle-policy", "idle",
-        )
-        assert code == 0
-        assert "[idle]" in out
-
-    def test_unknown_machine(self, capsys):
-        code, _, err = run_cli(
-            capsys, "partition", "gtx580-single", "nope", "--intensity", "2.0"
-        )
-        assert code == 1
-        assert "error:" in err
 
 
 class TestDvfs:
@@ -59,46 +32,3 @@ class TestDvfs:
         )
         assert "race-to-halt" in race_out
 
-
-class TestScaling:
-    def test_summa_table(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scaling", "i7-950-double", "summa", "--size", "2048",
-        )
-        assert code == 0
-        assert "speedup" in out and "E(p)/E(1)" in out
-        assert "energy-flat" in out
-
-    def test_custom_nodes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scaling", "i7-950-double", "stencil",
-            "--size", "128", "--nodes", "1", "8", "64",
-        )
-        assert code == 0
-        assert out.count("\n") >= 5
-
-    def test_allreduce_workload(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scaling", "i7-950-double", "allreduce",
-            "--size", "10000000",
-        )
-        assert code == 0
-
-
-class TestApp:
-    @pytest.mark.parametrize("name", ["cg", "fmm", "fft-poisson", "jacobi"])
-    def test_all_library_apps(self, capsys, name):
-        code, out, _ = run_cli(capsys, "app", name, "i7-950-double")
-        assert code == 0
-        assert "TOTAL" in out and "bottleneck" in out
-
-    def test_custom_size(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "app", "jacobi", "gtx580-double", "--size", "64"
-        )
-        assert code == 0
-        assert "jacobi(n=64^3" in out
-
-    def test_unknown_app_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["app", "quake", "gtx580-double"])

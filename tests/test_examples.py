@@ -31,7 +31,5 @@ def test_examples_exist():
         "characterize_machine",
         "fmm_energy_study",
         "greenup_explorer",
-        "application_tuning",
-        "cluster_scaling",
     ):
         assert expected in names

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.config import NOISELESS
-from repro.core.energy_model import EnergyModel
 from repro.core.fitting import fit_energy_coefficients
 from repro.core.params import MachineModel
 from repro.machines.specs import GTX580_SPEC
@@ -116,59 +115,3 @@ class TestExtensionComposition:
         assert PowerModel(scaled).max_power > 0
         report = analyze(scaled)
         assert report.b_tau == pytest.approx(cpu_double.b_tau * 0.5)
-
-    def test_scheduler_consistent_with_workloads(self, gpu_single, cpu_single):
-        """Partitioning an application's aggregate equals partitioning
-        done phase-by-phase when all shares stay on one device."""
-        from repro.scheduler import Device, HeterogeneousScheduler
-        from repro.workloads import cg_solver
-
-        app = cg_solver(200_000, iterations=5)
-        scheduler = HeterogeneousScheduler(
-            Device("gpu", gpu_single.with_power_cap(None)),
-            Device("cpu", cpu_single),
-        )
-        plan = scheduler.evaluate(app.total_profile, 1.0)
-        direct = EnergyModel(gpu_single.with_power_cap(None)).energy(
-            app.total_profile
-        )
-        assert plan.energy == pytest.approx(direct)
-
-    def test_multilevel_consistent_with_fmm_study(self, small_tree, small_ulist):
-        """The MultiLevelEnergyModel reproduces the FMM study's corrected
-        estimate when given the fitted cache cost and the counters."""
-        from repro.core.multilevel import (
-            HierarchicalProfile,
-            MemoryHierarchy,
-            MultiLevelEnergyModel,
-        )
-        from repro.core.algorithm import AlgorithmProfile
-        from repro.fmm.counters import count_traffic
-        from repro.fmm.estimator import FmmEnergyStudy
-        from repro.fmm.variants import reference_variant
-        from repro.machines.catalog import gtx580_single
-
-        study = FmmEnergyStudy(small_tree, small_ulist)
-        obs = study.measure_variant(reference_variant())
-        eps_cache = study.fit_cache_cost(obs)
-
-        counters = obs.counters
-        machine = gtx580_single()
-        hierarchy = MemoryHierarchy.gpu_l1_l2(eps_cache)
-        profile = HierarchicalProfile(
-            base=AlgorithmProfile(work=counters.work, traffic=counters.q_dram),
-            level_traffic={"L1": counters.q_l1, "L2": counters.q_l2},
-        )
-        model = MultiLevelEnergyModel(machine, hierarchy)
-        # The study's corrected estimate uses the measured time in the pi0
-        # term; the model uses ideal eq. (3) time.  Compare the dynamic +
-        # cache parts, which must agree exactly.
-        study_dynamic = (
-            obs.naive_estimate
-            - machine.pi0 * obs.time
-            + eps_cache * counters.q_cache_visible
-        )
-        model_dynamic = model.energy(profile) - machine.pi0 * model.time_model.time(
-            profile.base
-        )
-        assert model_dynamic == pytest.approx(study_dynamic, rel=1e-9)

@@ -20,9 +20,6 @@ PACKAGES = [
     "repro.cachesim",
     "repro.analysis",
     "repro.viz",
-    "repro.scheduler",
-    "repro.workloads",
-    "repro.cluster",
     "repro.experiments",
 ]
 
